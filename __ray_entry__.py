@@ -80,7 +80,7 @@ def entry() -> Any:
         os.path.join(input_dir, "transcripts-0000.parquet"),
     )
     ckpt = os.path.join(work, "ckpt")
-    encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 4))
+    encode_pipeline(input_dir, ckpt, rows_per_partition=2000)
     return decode_pipeline(ckpt, concurrency=(1, 4))
 
 
@@ -526,7 +526,6 @@ def _q_decode_filter_events(sf_dir: str):
         key="user_id",
         turn_col="event_id",
         rows_per_partition=2000,
-        concurrency=(1, 4),
     )
     out = decode_pipeline(
         ckpt, predicate=("value", ">", 75.0), concurrency=(1, 4)
@@ -602,7 +601,7 @@ def _q_encode_manifest(sf_dir: str):
         os.path.join(input_dir, "t.parquet"),
     )
     ckpt = os.path.join(work, "ckpt")
-    encode_pipeline(input_dir, ckpt, rows_per_partition=1000, concurrency=(1, 4))
+    encode_pipeline(input_dir, ckpt, rows_per_partition=1000)
     entries = mf.read_manifest(ckpt)
     return pa.table(
         {

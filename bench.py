@@ -124,7 +124,6 @@ def transcripts_input_dir(sf: float, turns_per_sf: int = TURNS_PER_SF) -> str:
 
 def run_encode(
     input_dir: str,
-    concurrency=None,
     rows_per_partition: int = 100_000,
     choices: dict | None = None,
     read_blocks: int | None = None,
@@ -137,7 +136,6 @@ def run_encode(
             input_dir,
             ckpt,
             rows_per_partition=rows_per_partition,
-            concurrency=concurrency,
             choices=choices,
             read_blocks=read_blocks,
         )

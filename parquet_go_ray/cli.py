@@ -12,7 +12,7 @@
         --out /data/curated --benchmark /data/evals --pack-tokens 2048
 
 Re-running ``encode`` against an existing checkpoint resumes: completed
-partitions are skipped before the shuffle. This module owns its Ray
+partitions are skipped before the exchange. This module owns its Ray
 session (library code never calls ray.init)."""
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ def main(argv: list[str] | None = None) -> int:
     pe.add_argument("--turns-per-salt", type=int, default=65536)
     pe.add_argument("--key", default="conv_id")
     pe.add_argument("--turn-col", default="turn_idx")
-    pe.add_argument(
-        "--single-phase",
-        action="store_true",
-        help="ship raw rows through the shuffle instead of the default "
-        "two-phase compressed-fragment exchange",
-    )
 
     pd = sub.add_parser("decode", help="decode blobs -> parquet")
     pd.add_argument("--checkpoint", required=True)
@@ -123,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
                 turns_per_salt=args.turns_per_salt,
                 key=args.key,
                 turn_col=args.turn_col,
-                two_phase=not args.single_phase,
             )
             print(json.dumps(summary))
         elif args.cmd == "decode":

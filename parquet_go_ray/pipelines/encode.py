@@ -1,19 +1,22 @@
 """The flagship pipeline: transcript Parquet → encoded partition blobs.
 
-Lifecycle (SURVEY.md §3.4):
+Lifecycle (SURVEY.md §3.4) — one exchange, one encode per partition:
 
-    read_parquet (column-pruned, fragment-sharded)
-      → map_batches(assign_buckets)        # salted conv_id hash, zero-copy Arrow
-      → [resume] map_batches(filter)       # drop rows of completed partitions
-      → groupby(_bucket).map_groups(EncoderActor, concurrency=N)
-           # one all-to-all shuffle; per group: sort (conv_id, turn_idx),
-           # auto-select codecs, encode, atomically write blob + lineage
-      → summaries (one tiny row per partition) → driver aggregate
+    phase 1  local files: from_items(row-group splits)
+                 .map_batches(fused_read_fragments)  # read + bucket_fragments
+             Dataset / remote URI: .map_batches(bucket_fragments)
+                 bucket_fragments = salted conv_id hash → drop rows of
+                 completed partitions (resume) → zstd-IPC fragments put
+                 in the object store, ~250 B ref row per (split, bucket)
+    exchange driver groups the ref rows by bucket (map-output tracker)
+    phase 2  merge_encode_task per partition: pull fragments, merge, sort
+             (conv_id, turn_idx), auto-select codecs, encode, atomically
+             write blob + lineage → one summary row per partition
 
-The ONLY full-data shuffle is the groupby; everything else is streaming
-map_batches over zero-copy Arrow blocks. Skew is handled in the bucket
-key itself (stages/salt.py). Memory: a group is bounded by
-rows_per_partition plus the per-conversation salt cap.
+Fragment bytes move point-to-point through the object store and never
+touch the driver. Skew is handled in the bucket key itself
+(stages/salt.py). Memory: a partition is bounded by rows_per_partition
+plus the per-conversation salt cap.
 
 This module never calls ray.init() — the driver owns the session.
 """
@@ -24,12 +27,16 @@ import json
 import os
 import time
 
-import pyarrow as pa
-
 import ray
 
-from ..stages.encoder import EncoderActor
-from ..stages.salt import BUCKET_COL, DEFAULT_TURNS_PER_SALT, assign_buckets
+from ..stages.encoder import (
+    FRAG_CPU_COL,
+    FragmentRefHolder,
+    bucket_fragments,
+    fused_read_fragments,
+    merge_encode_task,
+)
+from ..stages.salt import BUCKET_COL, DEFAULT_TURNS_PER_SALT
 from ..state import manifest as mf
 
 DEFAULT_ROWS_PER_PARTITION = 250_000
@@ -37,7 +44,7 @@ DEFAULT_ROWS_PER_PARTITION = 250_000
 
 def _list_parquet_files(input_path: str | list[str]) -> list[str]:
     """Expand dir / file / list-of-either into a sorted file list
-    (local filesystem; remote URIs take the unfused read path)."""
+    (local filesystem; remote URIs take the Ray Data read path)."""
     paths = [input_path] if isinstance(input_path, str) else list(input_path)
     out: list[str] = []
     for p in paths:
@@ -100,90 +107,53 @@ def encode_pipeline(
     rows_per_partition: int = DEFAULT_ROWS_PER_PARTITION,
     turns_per_salt: int = DEFAULT_TURNS_PER_SALT,
     num_buckets: int | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     choices: dict | None = None,
-    lineage_paths: bool = True,
-    two_phase: bool = True,
-    fragment_refs: bool = True,
-    fused_read: bool = True,
-    exchange: str | None = None,
     page_rows: int | None = None,
     read_blocks: int | None = None,
 ) -> dict:
     """Run the encode job; returns the run summary (also written to
-    ``<checkpoint_dir>/run.json``). Safe to re-run after interruption:
-    completed partitions are filtered out before the shuffle.
+    ``<checkpoint_dir>/metrics.json``). Safe to re-run after
+    interruption: rows of completed partitions are dropped in phase 1.
 
-    ``fragment_refs`` (default, requires ``two_phase``): the all-to-all
-    ships ~200-byte ObjectRefs per fragment; fragment bytes move
-    point-to-point producer→merge-actor through the object store (one
-    plasma write + one pull) instead of riding through the sort
-    barrier's copy chain. Measured at 8M turns / 2 CPUs: the exchange
-    operator's wall drops from ~26s to sub-second, and blobs stay
-    byte-identical across all exchange modes (pinned test).
-
-    ``fused_read`` (default; local-path inputs with ``two_phase``):
-    parquet decode + bucket assignment + fragment encode run in ONE
-    task per row-group-aligned split, so raw rows never materialize in
-    the object store — see ``stages/encoder.py:fused_read_fragments``
-    for the measured kernel-contention rationale."""
+    Local parquet files take the fused read (``fused_read_fragments``):
+    parquet decode, salt and fragment encode run in ONE task per
+    row-group-aligned split, so raw rows never enter the object store.
+    A ``ray.data.Dataset`` or a remote URI is read by Ray Data and feeds
+    the same ``bucket_fragments`` stage. For path inputs ``read_blocks``
+    fixes the number of read splits (default: sized from the cluster's
+    CPUs)."""
     t0 = time.time()
-    read_items = None
-    if isinstance(input_path, ray.data.Dataset):
-        fused_read = False
-        ds = input_path
-        input_files = ds.input_files()
-        total_rows = ds.count()
+    files = (
+        None if isinstance(input_path, ray.data.Dataset)
+        else _list_parquet_files(input_path)
+    )
+    fused = bool(files) and all(os.path.exists(p) for p in files)
+    if fused:
+        input_files = files
+        per_file = _read_footers(files)
+        total_rows = sum(sum(r) for r in per_file)
     else:
-        if fused_read and two_phase:
-            files = _list_parquet_files(input_path)
-            fused_read = bool(files) and all(os.path.exists(p) for p in files)
-        else:
-            fused_read = False
-        if fused_read:
-            input_files = files
-            per_file = _read_footers(files)
-            total_rows = sum(sum(r) for r in per_file)
-        else:
-            probe = ray.data.read_parquet(input_path, columns=columns)
-            input_files = probe.input_files()
-            total_rows = probe.count()  # parquet metadata only — no data read
-        if num_buckets is None:
-            num_buckets = max(1, -(-total_rows // rows_per_partition))
-        # Shuffle cost scales with block COUNT, not just bytes. Two-phase
-        # (compressed-fragment) exchange wants FEW, LARGE blocks — each
-        # block emits one IPC fragment per bucket, so block count drives
-        # both fragment count and all-to-all orchestration (measured
-        # 184k→270k turns/s going 124→32 blocks at 32 CPUs). The raw-row
-        # single-phase shuffle keeps the old 2-blocks-per-bucket shape.
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        if read_blocks is not None:
-            # Fixed plan regardless of cluster size — the cluster-faithful
-            # setting (a real deployment's block count comes from the data
-            # layout, not the node count); scaling benchmarks use this so
-            # both legs run the identical task graph.
-            blocks = read_blocks
-        elif two_phase:
-            blocks = min(max(cpus, num_buckets // 4), 2 * cpus)
-        else:
-            blocks = max(cpus, 2 * num_buckets)
-        blocks = min(blocks, max(1, total_rows // 5000))
-        if fused_read:
-            # Fused source: read splits become descriptor rows; the
-            # parquet decode happens inside the fragment task (see
-            # stages/encoder.py:fused_read_fragments) so raw rows never
-            # enter the object store.
-            read_items = _plan_read_splits(per_file, total_rows, blocks)
-        else:
-            ds = ray.data.read_parquet(
-                input_path,
-                columns=columns,
-                override_num_blocks=blocks,
-                # per-partition lineage (compacted to int32 in the salt stage)
-                include_paths=lineage_paths,
-            )
+        ds = (
+            input_path if files is None
+            else ray.data.read_parquet(input_path, columns=columns)
+        )
+        input_files = ds.input_files()
+        total_rows = ds.count()  # parquet metadata only — no data read
     if num_buckets is None:
         num_buckets = max(1, -(-total_rows // rows_per_partition))
+    if files is not None:
+        # Exchange cost scales with block COUNT, not just bytes: each
+        # block emits one fragment per bucket, so block count drives both
+        # fragment count and orchestration (measured 184k→270k turns/s
+        # going 124→32 blocks at 32 CPUs) — few, large blocks.
+        # ``read_blocks`` fixes the plan regardless of cluster size (a real
+        # deployment's block count comes from the data layout); scaling
+        # benchmarks use it so both legs run the identical task graph.
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        blocks = read_blocks
+        if blocks is None:
+            blocks = min(max(cpus, num_buckets // 4), 2 * cpus)
+        blocks = min(blocks, max(1, total_rows // 5000))
 
     os.makedirs(checkpoint_dir, exist_ok=True)
     run_path = os.path.join(checkpoint_dir, "run.json")
@@ -207,195 +177,87 @@ def encode_pipeline(
             json.dump(run_cfg, f)
 
     completed = mf.completed_partitions(checkpoint_dir)
-
-    if read_items is None:
-        path_index = (
-            {p: i for i, p in enumerate(input_files)} if lineage_paths else None
-        )
-        ds = ds.map_batches(
-            assign_buckets,
-            fn_kwargs={
-                "num_buckets": num_buckets,
-                "key": key,
-                "turn_col": turn_col,
-                "turns_per_salt": turns_per_salt,
-                "path_index": path_index,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        if completed:
-            done_ids = {int(p) for p in completed}
-
-            def _drop_done(batch: pa.Table) -> pa.Table:
-                import numpy as np
-
-                b = batch.column(BUCKET_COL).to_numpy(zero_copy_only=False)
-                mask = ~np.isin(b, list(done_ids))
-                return batch.filter(pa.array(mask))
-
-            ds = ds.map_batches(
-                _drop_done, batch_format="pyarrow", zero_copy_batch=True
-            )
-
-    actor_kwargs = {
+    merge_kwargs = {
         "checkpoint_dir": checkpoint_dir,
         "sort_keys": (key, turn_col),
         "choices": choices,
         "input_files": input_files,
         "page_rows": page_rows,
     }
-    if concurrency is None:
-        # A (1, N) autoscaling pool ramps from ONE actor and leaves most
-        # cores idle through the whole merge stage (measured 78k→156k
-        # turns/s at 32 CPUs); a fully-reserved pool starves the upstream
-        # read/fragment tasks and deadlocks. Warm a quarter of the cores
-        # up front and cap 2 below the cluster so tasks always fit.
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        if cpus <= 4:
-            # Degenerate pool sizes: cpus-2 would cap the merge stage at
-            # ONE actor on a 2-CPU box — post-barrier the map side is
-            # done, so the full box may merge (autoscaler only adds the
-            # extra actor once fragments queue; no upstream starvation —
-            # measured 74.5s → 56s at 2 CPUs / 8M turns).
-            concurrency = (1, cpus)
-        else:
-            concurrency = (max(1, cpus // 4), max(1, cpus - 2))
-    holder = None
-    if two_phase:
-        # Two-phase shuffle (NOTES r1 item 4): compress (block, bucket)
-        # fragments to zstd Arrow IPC BEFORE the all-to-all, so the
-        # groupby moves ~blob-sized bytes instead of raw rows; the merge
-        # actor re-sorts per partition, preserving the stable turn
-        # ordering invariant. With fragment_refs the groupby moves only
-        # refs and the bytes take one direct plasma hop.
-        from ..stages.encoder import (
-            FragmentRefHolder,
-            MergeEncoderActor,
-            encode_fragments,
-            encode_fragments_refs,
-            fused_read_fragments,
-        )
-
-        if fragment_refs:
-            holder = FragmentRefHolder.remote()
-            # ray.put(_owner=holder) needs a LIVE owner: block until the
-            # actor is scheduled ("worker_id is empty" race otherwise).
-            ray.get(holder.add.remote([]))
-            actor_kwargs = {**actor_kwargs, "fragment_refs": True}
-        if exchange is None:
-            # Auto: the ref exchange ships only metadata through the
-            # all-to-all, so the direct (map-output-tracker) exchange
-            # replaces the sort shuffle's fixed coordination barrier
-            # with a driver-side dict + elastic merge tasks.
-            exchange = "direct" if fragment_refs else "sort"
-        if exchange == "direct" and not fragment_refs:
-            raise ValueError(
-                "exchange='direct' requires fragment_refs=True — inline "
-                "fragments would materialize the data on the driver"
-            )
-        if read_items is not None:
+    holder = FragmentRefHolder.remote()
+    # ray.put(_owner=holder) needs a LIVE owner: block until the
+    # actor is scheduled ("worker_id is empty" race otherwise).
+    ray.get(holder.add.remote([]))
+    frag_kwargs = {
+        "num_buckets": num_buckets,
+        "key": key,
+        "turn_col": turn_col,
+        "turns_per_salt": turns_per_salt,
+        "done_ids": sorted(int(p) for p in completed) or None,
+        "holder": holder,
+    }
+    try:
+        if fused:
+            read_items = _plan_read_splits(per_file, total_rows, blocks)
             ds = ray.data.from_items(
                 read_items, override_num_blocks=len(read_items)
             ).map_batches(
                 fused_read_fragments,
-                fn_kwargs={
-                    "paths": input_files,
-                    "columns": columns,
-                    "num_buckets": num_buckets,
-                    "key": key,
-                    "turn_col": turn_col,
-                    "turns_per_salt": turns_per_salt,
-                    "lineage": lineage_paths,
-                    "done_ids": sorted(int(p) for p in completed) or None,
-                    "holder": holder,
-                },
+                fn_kwargs={"paths": input_files, "columns": columns, **frag_kwargs},
                 batch_size=1,
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )
-        elif holder is not None:
+        else:
+            if files is not None:
+                ds = ray.data.read_parquet(
+                    input_path,
+                    columns=columns,
+                    override_num_blocks=blocks,
+                    # per-partition lineage (compacted to int32 by the salt)
+                    include_paths=True,
+                )
+            path_index = {p: i for i, p in enumerate(input_files)}
             ds = ds.map_batches(
-                encode_fragments_refs,
-                fn_kwargs={"holder": holder},
+                bucket_fragments,
+                fn_kwargs={**frag_kwargs, "path_index": path_index},
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )
-        else:
-            ds = ds.map_batches(
-                encode_fragments, batch_format="pyarrow", zero_copy_batch=True
-            )
-        if exchange == "direct":
-            from ..stages.encoder import merge_encode_task
-
-            # Map-output tracker: collect the METADATA-ONLY ref tables
-            # (~250 B per (split, bucket) fragment), group by bucket on
-            # the driver, launch one merge task per partition. Fragment
-            # BYTES never touch the driver — merge tasks pull them
-            # peer-to-peer from plasma (see merge_encode_task).
-            meta_rows = ds.take_all()
-            phase1_stats = ds.stats()
-            phase1_cpu = sum(float(r.get("_cpu_s") or 0.0) for r in meta_rows)
-            by_bucket: dict[int, list[dict]] = {}
-            for r in meta_rows:
-                by_bucket.setdefault(int(r[BUCKET_COL]), []).append(r)
-            futs = [
-                merge_encode_task.remote(rows_b, actor_kwargs)
-                for _, rows_b in sorted(by_bucket.items())
-            ]
-            try:
-                rows = ray.get(futs)
-            finally:
-                if holder is not None:
-                    _release_holder(holder)
-                    holder = None
-            try:
-                with open(os.path.join(checkpoint_dir, "stats.txt"), "w") as f:
-                    f.write(phase1_stats)
-            except Exception:
-                pass
-            merge_cpu = sum(float(r.get("cpu_s") or 0.0) for r in rows)
-            return _finish(
-                checkpoint_dir, rows, t0, num_buckets,
-                extra={
-                    # UDF CPU seconds (process_time inside the task
-                    # bodies): the wall-noise-immune scaling signal —
-                    # flat per row across cluster sizes ⇔ no
-                    # contention-induced work inflation (VERDICT r2 #1).
-                    "phase1_cpu_s": round(phase1_cpu, 3),
-                    "merge_cpu_s": round(merge_cpu, 3),
-                    "udf_cpu_s": round(phase1_cpu + merge_cpu, 3),
-                },
-            )
-        summaries = ds.groupby(BUCKET_COL).map_groups(
-            MergeEncoderActor,
-            fn_constructor_kwargs=actor_kwargs,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    else:
-        summaries = ds.groupby(BUCKET_COL).map_groups(
-            EncoderActor,
-            fn_constructor_kwargs=actor_kwargs,
-            batch_format="pyarrow",
-            # Autoscaling actor pool; encode is CPU-bound -> 1 CPU per actor.
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    try:
-        rows = summaries.take_all()  # tiny: one row per partition
+        # Map-output tracker: collect the METADATA-ONLY ref rows, group
+        # them by bucket on the driver, launch one merge task per
+        # partition (see merge_encode_task).
+        meta_rows = ds.take_all()
+        by_bucket: dict[int, list[dict]] = {}
+        for r in meta_rows:
+            by_bucket.setdefault(int(r[BUCKET_COL]), []).append(r)
+        rows = ray.get([
+            merge_encode_task.remote(rows_b, merge_kwargs)
+            for _, rows_b in sorted(by_bucket.items())
+        ])
     finally:
-        if holder is not None:
-            # Release every pinned fragment object at once. The blobs are
-            # on disk by now; nothing downstream reads the fragments.
-            _release_holder(holder)
+        # Release every pinned fragment object at once — also when a
+        # phase fails, so a failed run does not leave fragments pinned.
+        _release_holder(holder)
     try:  # per-stage wall/UDF times for throughput tuning (observability)
         with open(os.path.join(checkpoint_dir, "stats.txt"), "w") as f:
-            f.write(summaries.stats())
+            f.write(ds.stats())
     except Exception:
         pass
-    return _finish(checkpoint_dir, rows, t0, num_buckets)
+    phase1_cpu = sum(float(r.get(FRAG_CPU_COL) or 0.0) for r in meta_rows)
+    merge_cpu = sum(float(r.get("cpu_s") or 0.0) for r in rows)
+    return _finish(
+        checkpoint_dir, rows, t0, num_buckets,
+        extra={
+            # UDF CPU seconds (process_time inside the task bodies): the
+            # wall-noise-immune scaling signal — flat per row across
+            # cluster sizes ⇔ no contention-induced work inflation
+            # (VERDICT r2 #1).
+            "phase1_cpu_s": round(phase1_cpu, 3),
+            "merge_cpu_s": round(merge_cpu, 3),
+            "udf_cpu_s": round(phase1_cpu + merge_cpu, 3),
+        },
+    )
 
 
 def _release_holder(holder) -> None:

@@ -1,15 +1,21 @@
-"""Stateful encoder / decoder actors for ``map_batches`` / ``map_groups``.
+"""The encode path's two stages.
 
-EncoderActor is the engine's ColumnStore-write analogue
-(/root/reference/datastore/column.go:42-101) re-expressed as a Ray Data
-actor-pool stage: constructed once per actor (codec registry, checkpoint
-paths, completed-partition set), invoked once per shuffle group. Symbol
-tables and codec choices are built *per partition* and never shared
-across partitions, so task retries reproduce byte-identical blobs
-(SURVEY.md §3.4).
+Phase 1 (``bucket_fragments``, fed by ``fused_read_fragments`` for local
+files or by one ``map_batches`` for a Dataset): salt rows into buckets,
+drop the buckets a previous run completed, and compress each
+(split, bucket) row fragment to zstd Arrow IPC in the object store.
+
+Phase 2 (``merge_encode_task``): one task per partition pulls its
+fragments, merges and sorts them, and runs the real per-column encode —
+the engine's ColumnStore-write analogue (the reference's
+datastore/column.go:42-101). Symbol tables and codec
+choices are built *per partition* and never shared across partitions,
+so task retries reproduce byte-identical blobs (SURVEY.md §3.4).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -18,92 +24,9 @@ import pyarrow.compute as pc
 import ray as _ray
 
 from ..state import manifest as mf
-from ..state.blob import decode_table, encode_table
-from .salt import BUCKET_COL
-
-SUMMARY_SCHEMA = pa.schema(
-    [
-        pa.field("partition_id", pa.string()),
-        pa.field("rows", pa.int64()),
-        pa.field("raw_bytes", pa.int64()),
-        pa.field("blob_bytes", pa.int64()),
-        pa.field("skipped", pa.bool_()),
-    ]
-)
-
-
-class EncoderActor:
-    """map_groups callable: one shuffle group (= one partition) per call."""
-
-    def __init__(
-        self,
-        checkpoint_dir: str,
-        sort_keys: tuple[str, ...] = ("conv_id", "turn_idx"),
-        choices: dict | None = None,
-        input_files: list[str] | None = None,
-        page_rows: int | None = None,
-    ):
-        self.checkpoint_dir = checkpoint_dir
-        self.sort_keys = [k for k in sort_keys]
-        self.choices = choices
-        self.input_files = input_files or []
-        self.page_rows = page_rows
-        # Loaded once per actor; partitions completed by *previous runs*.
-        self.completed = mf.completed_partitions(checkpoint_dir)
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return SUMMARY_SCHEMA.empty_table()
-        bucket = group.column(BUCKET_COL)[0].as_py()
-        pid = f"{bucket:06d}"
-        if pid in self.completed:
-            entry = mf.read_entry(self.checkpoint_dir, pid)
-            return self._summary(pid, entry["rows"], entry.get("raw_bytes") or 0,
-                                 entry["blob_bytes"], skipped=True)
-        group = group.drop_columns([BUCKET_COL])
-        # Lineage: which input fragments fed this partition.
-        fragments = [f"bucket={bucket}"]
-        from .salt import SRC_COL
-
-        if SRC_COL in group.column_names:
-            src = pc.unique(group.column(SRC_COL)).to_pylist()
-            fragments += [
-                self.input_files[i] if 0 <= i < len(self.input_files) else f"src={i}"
-                for i in sorted(src)
-            ]
-            group = group.drop_columns([SRC_COL])
-        # Sort-within-partition: stable turn ordering (north rule).
-        keys = [k for k in self.sort_keys if k in group.column_names]
-        if keys:
-            idx = pc.sort_indices(
-                group, sort_keys=[(k, "ascending") for k in keys]
-            )
-            group = group.take(idx)
-        raw_bytes = group.nbytes
-        blob, meta = encode_table(group, choices=self.choices, page_rows=self.page_rows)
-        mf.write_partition(
-            self.checkpoint_dir,
-            pid,
-            blob,
-            meta,
-            input_fragments=fragments,
-            raw_bytes=raw_bytes,
-        )
-        return self._summary(pid, group.num_rows, raw_bytes, len(blob), False)
-
-    @staticmethod
-    def _summary(pid, rows, raw_bytes, blob_bytes, skipped):
-        return pa.Table.from_pydict(
-            {
-                "partition_id": [pid],
-                "rows": [rows],
-                "raw_bytes": [raw_bytes],
-                "blob_bytes": [blob_bytes],
-                "skipped": [skipped],
-            },
-            schema=SUMMARY_SCHEMA,
-        )
-
+from ..state.blob import encode_table
+from . import salt
+from .salt import BUCKET_COL, SRC_COL
 
 FRAG_COL = "_frag"
 FRAG_ROWS_COL = "_frag_rows"
@@ -120,29 +43,26 @@ def _ipc_zstd_bytes(tbl: pa.Table) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
-def _ipc_read_bytes(b: bytes) -> pa.Table:
+def _ipc_read_bytes(b) -> pa.Table:
     return pa.ipc.open_stream(pa.BufferReader(b)).read_all()
 
 
 def encode_fragments(batch: pa.Table, _t0: float | None = None) -> pa.Table:
-    """Phase 1 of the two-phase shuffle: compress each (block, bucket)
-    row-fragment into zstd Arrow IPC BEFORE the all-to-all, so the
-    groupby ships ~blob-sized fragments instead of raw rows (~3x fewer
-    shuffled bytes on transcript text). IPC+zstd is the transient wire
+    """Compress each bucket's rows of ``batch`` into one zstd Arrow IPC
+    fragment, so the exchange moves ~blob-sized bytes instead of raw
+    rows (~3x fewer on transcript text). IPC+zstd is the transient wire
     format — cheap C++ encode, no per-fragment codec selection; the real
-    per-column encode runs once per merged partition in phase 2."""
+    per-column encode runs once per merged partition in phase 2. An
+    empty batch gives an empty fragment table."""
     import time as _time
-
-    import numpy as np
-
-    from .salt import SRC_COL
 
     t0 = _time.process_time() if _t0 is None else _t0
     b = batch.column(BUCKET_COL).to_numpy(zero_copy_only=False)
     order = np.argsort(b, kind="stable")
     batch = batch.take(pa.array(order))
     b = b[order]
-    starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+    change = np.flatnonzero(b[1:] != b[:-1]) + 1
+    starts = np.concatenate(([0], change)) if len(b) else change
     ends = np.append(starts[1:], len(b))
     out_bucket, out_frag, out_rows, out_raw, out_srcs = [], [], [], [], []
     has_src = SRC_COL in batch.column_names
@@ -187,8 +107,8 @@ class FragmentRefHolder:
     store with this actor as the object's OWNER and registers the ref
     here, so the fragment outlives the producing map task (a ref
     serialized inside an Arrow column is out-of-band — Ray's refcounting
-    can't see it). The pipeline kills the holder after the run, releasing
-    every fragment at once."""
+    can't see it). The pipeline clears the holder after the run,
+    releasing every fragment at once."""
 
     def __init__(self):
         self.refs = []
@@ -214,14 +134,11 @@ FRAG_IDX_COL = "_frag_idx"
 
 def encode_fragments_refs(batch: pa.Table, holder,
                           _t0: float | None = None) -> pa.Table:
-    """Ref-based phase 1 (round 3): identical fragment bytes to
-    ``encode_fragments``, but the all-to-all ships a ~200-byte
-    cloudpickled ObjectRef (+ intra-chunk index) per fragment instead of
-    the fragment itself. Payload bytes move point-to-point — producing
-    worker's plasma store → consuming merge actor's ``ray.get`` — with
-    no sort-barrier copy chain in between. On a multi-node cluster this
-    is the difference between an O(data) exchange through the shuffle
-    and an O(partitions) metadata shuffle plus direct peer pulls."""
+    """``encode_fragments``, with each fragment's bytes put into the
+    object store and replaced in the output by a ~200-byte cloudpickled
+    ObjectRef (+ intra-chunk index). The driver collects only these
+    metadata rows; payload bytes move point-to-point — producing
+    worker's plasma store → consuming merge task's ``ray.get``."""
     import time as _time
 
     from ray import cloudpickle
@@ -249,7 +166,8 @@ def encode_fragments_refs(batch: pa.Table, holder,
         rb = cloudpickle.dumps(r)
         blobs.extend([rb] * len(chunk))
         idxs.extend(range(len(chunk)))
-    holder.add.remote(refs)  # in-band borrow until registered; see class doc
+    if refs:
+        holder.add.remote(refs)  # in-band borrow until registered; see class doc
     i = out.schema.get_field_index(FRAG_COL)
     out = out.set_column(i, FRAG_COL, pa.array(blobs, pa.large_binary()))
     out = out.append_column(FRAG_IDX_COL, pa.array(idxs, pa.int32()))
@@ -263,22 +181,40 @@ def encode_fragments_refs(batch: pa.Table, holder,
     return out
 
 
-def fused_read_fragments(
+def bucket_fragments(
     batch: pa.Table,
     *,
-    paths: list[str],
-    columns: list[str] | None,
     num_buckets: int,
     key: str,
     turn_col: str,
     turns_per_salt: int,
-    lineage: bool = True,
-    done_ids: list[int] | None = None,
-    holder=None,
-):
-    """Fused phase-1 source (round 3): parquet row-groups → bucket
-    assignment → compressed fragments inside ONE task, so RAW ROWS NEVER
-    ENTER THE OBJECT STORE — only ~3x-compressed fragment chunks do.
+    done_ids: list[int] | None,
+    holder,
+    path_index: dict[str, int] | None = None,
+    _t0: float | None = None,
+) -> pa.Table:
+    """Phase 1 over one batch of rows: salt into buckets, drop the rows
+    of partitions a previous run completed (resume), then emit the
+    ref-fragment table of ``encode_fragments_refs``."""
+    t = salt.assign_buckets(
+        batch,
+        num_buckets,
+        key=key,
+        turn_col=turn_col,
+        turns_per_salt=turns_per_salt,
+        path_index=path_index,
+    )
+    if done_ids:
+        b = t.column(BUCKET_COL).to_numpy(zero_copy_only=False)
+        t = t.filter(pa.array(~np.isin(b, done_ids)))
+    return encode_fragments_refs(t, holder, _t0=_t0)
+
+
+def fused_read_fragments(batch: pa.Table, *, paths: list[str],
+                         columns: list[str] | None, **frag_kwargs):
+    """Fused phase-1 source: parquet row-groups → ``bucket_fragments``
+    inside ONE task, so RAW ROWS NEVER ENTER THE OBJECT STORE — only
+    ~3x-compressed fragment chunks do.
 
     Why: materializing the raw Arrow blocks into plasma costs kernel
     time that scales superlinearly with writer concurrency on a single
@@ -294,16 +230,9 @@ def fused_read_fragments(
     Batch rows are read-split descriptors: ``_src`` (input-file index)
     + ``_rgs`` (row-group list). Yields one fragment table per split.
     """
-    import pyarrow.parquet as pq
-
-    from .salt import BUCKET_COL, SRC_COL, assign_buckets
-
-    done_arr = (
-        np.asarray(sorted(done_ids), dtype=np.int64)
-        if done_ids
-        else None
-    )
     import time as _time
+
+    import pyarrow.parquet as pq
 
     for src, rgs in zip(
         batch.column("_src").to_pylist(), batch.column("_rgs").to_pylist()
@@ -311,80 +240,62 @@ def fused_read_fragments(
         t0 = _time.process_time()  # split CPU incl. parquet decode + salt
         pf = pq.ParquetFile(paths[src])
         t = pf.read_row_groups(list(rgs), columns=columns, use_threads=False)
-        if lineage:
-            t = t.append_column(
-                SRC_COL, pa.array(np.full(t.num_rows, src, dtype=np.int32))
-            )
-        t = assign_buckets(
-            t,
-            num_buckets,
-            key=key,
-            turn_col=turn_col,
-            turns_per_salt=turns_per_salt,
+        t = t.append_column(
+            SRC_COL, pa.array(np.full(t.num_rows, src, dtype=np.int32))
         )
-        if done_arr is not None:
-            b = t.column(BUCKET_COL).to_numpy(zero_copy_only=False)
-            t = t.filter(pa.array(~np.isin(b, done_arr)))
-            if t.num_rows == 0:
-                continue
-        yield (
-            encode_fragments_refs(t, holder, _t0=t0)
-            if holder is not None
-            else encode_fragments(t, _t0=t0)
-        )
+        yield bucket_fragments(t, _t0=t0, **frag_kwargs)
 
 
-class MergeEncoderActor(EncoderActor):
-    """Phase 2: one shuffle group = all IPC fragments of one partition.
-    Decode fragments, merge, sort-within-partition (the per-conversation
-    merge that preserves the stable turn ordering invariant), then run
-    the real per-column encode exactly as the single-phase path.
+class MergeEncoderActor:
+    """Phase 2 body: all ref-fragment rows of one partition → one blob.
+    Pull and decode the fragments, merge, sort-within-partition (the
+    per-conversation merge that preserves the stable turn ordering
+    invariant), then run the real per-column encode."""
 
-    ``fragment_refs=True`` (the ref exchange): the fragment column holds
-    cloudpickled ObjectRefs; the actor pulls its partition's payloads
-    from the object store directly."""
+    def __init__(
+        self,
+        checkpoint_dir: str,
+        sort_keys: tuple[str, ...] = ("conv_id", "turn_idx"),
+        choices: dict | None = None,
+        input_files: list[str] | None = None,
+        page_rows: int | None = None,
+    ):
+        self.checkpoint_dir = checkpoint_dir
+        self.sort_keys = list(sort_keys)
+        self.choices = choices
+        self.input_files = input_files or []
+        self.page_rows = page_rows
 
-    def __init__(self, *args, fragment_refs: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fragment_refs = fragment_refs
-
-    def _fragment_tables(self, group: pa.Table) -> list[pa.Table]:
-        if not self.fragment_refs:
-            return [_ipc_read_bytes(f.as_py()) for f in group.column(FRAG_COL)]
+    def _fragment_tables(self, rows: list[dict]) -> list[pa.Table]:
         from ray import cloudpickle
 
-        blobs = [f.as_py() for f in group.column(FRAG_COL)]
-        idxs = group.column(FRAG_IDX_COL).to_pylist()
         uniq: dict[bytes, int] = {}
         refs = []
-        for b in blobs:
-            if b not in uniq:
-                uniq[b] = len(refs)
-                refs.append(cloudpickle.loads(b))
+        for r in rows:
+            if r[FRAG_COL] not in uniq:
+                uniq[r[FRAG_COL]] = len(refs)
+                refs.append(cloudpickle.loads(r[FRAG_COL]))
         chunks = _ray.get(refs)  # zero-copy plasma views, one pull per chunk
         out = []
-        for b, i in zip(blobs, idxs):
-            buf, offs = chunks[uniq[b]]
+        for r in rows:
+            buf, offs = chunks[uniq[r[FRAG_COL]]]
+            i = int(r[FRAG_IDX_COL])
             frag = buf[offs[i] : offs[i + 1]]  # view — no chunk-wide copy
             out.append(_ipc_read_bytes(pa.py_buffer(frag)))
         return out
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return SUMMARY_SCHEMA.empty_table()
-        bucket = group.column(BUCKET_COL)[0].as_py()
+    def __call__(self, rows: list[dict]) -> dict:
+        bucket = int(rows[0][BUCKET_COL])
         pid = f"{bucket:06d}"
-        if pid in self.completed:
+        if os.path.exists(mf.entry_path(self.checkpoint_dir, pid)):
+            # A retried task whose first attempt already wrote the blob.
             entry = mf.read_entry(self.checkpoint_dir, pid)
-            return self._summary(pid, entry["rows"], entry.get("raw_bytes") or 0,
-                                 entry["blob_bytes"], skipped=True)
-        tables = self._fragment_tables(group)
+            return _summary(pid, entry["rows"], entry.get("raw_bytes") or 0,
+                            entry["blob_bytes"], skipped=True)
+        tables = self._fragment_tables(rows)
         merged = pa.concat_tables(tables).combine_chunks()
-        fragments = [f"bucket={bucket}"]
-        srcs = sorted(
-            {int(x) for lst in group.column(FRAG_SRCS_COL).to_pylist() for x in lst}
-        )
-        fragments += [
+        srcs = sorted({int(x) for r in rows for x in r[FRAG_SRCS_COL]})
+        fragments = [f"bucket={bucket}"] + [
             self.input_files[i] if 0 <= i < len(self.input_files) else f"src={i}"
             for i in srcs
         ]
@@ -394,7 +305,7 @@ class MergeEncoderActor(EncoderActor):
                 merged, sort_keys=[(k, "ascending") for k in keys]
             )
             merged = merged.take(idx)
-        raw_bytes = int(pc.sum(group.column(FRAG_RAW_COL)).as_py() or 0)
+        raw_bytes = sum(int(r[FRAG_RAW_COL]) for r in rows)
         blob, meta = encode_table(merged, choices=self.choices, page_rows=self.page_rows)
         mf.write_partition(
             self.checkpoint_dir,
@@ -404,48 +315,35 @@ class MergeEncoderActor(EncoderActor):
             input_fragments=fragments,
             raw_bytes=raw_bytes,
         )
-        return self._summary(pid, merged.num_rows, raw_bytes, len(blob), False)
+        return _summary(pid, merged.num_rows, raw_bytes, len(blob), False)
+
+
+def _summary(pid, rows, raw_bytes, blob_bytes, skipped) -> dict:
+    return {"partition_id": pid, "rows": rows, "raw_bytes": raw_bytes,
+            "blob_bytes": blob_bytes, "skipped": skipped}
 
 
 @_ray.remote(num_cpus=1)
-def merge_encode_task(rows: list[dict], actor_kwargs: dict) -> dict:
-    """Direct-exchange merge: one plain Ray task per partition.
+def merge_encode_task(rows: list[dict], merge_kwargs: dict) -> dict:
+    """Phase 2: one plain Ray task per partition.
 
-    With the ref-based exchange the all-to-all's payload is ~250 bytes
-    of metadata per (split, bucket) fragment, so the exchange reduces to
-    the classic map-output-tracker pattern: the driver collects the tiny
-    ref tables, groups them by bucket in a dict, and launches one merge
+    The exchange is the classic map-output-tracker pattern: the driver
+    collects the ~250-byte ref rows phase 1 emits per (split, bucket)
+    fragment, groups them by bucket in a dict, and launches one merge
     task per partition — no sort shuffle (a fixed multi-second
     coordination barrier at any data size), no actor-pool sizing (tasks
     pack the cluster elastically as soon as fragments are ready).
+    Fragment bytes never touch the driver.
 
-    At 100-TB scale the tracker is O(splits × buckets) rows of
-    metadata; beyond ~10^7 entries the IMPLEMENTED fallback is
-    ``exchange="sort"`` with ``fragment_refs=True`` — the groupby then
-    shuffles only the ~250-byte ref rows (a tiny all-to-all over
-    metadata, no driver collection) while payload bytes still move
-    point-to-point. Same trade-off shape as Spark's MapOutputTracker
-    vs. its sort-based shuffle of map statuses."""
+    Limit: the tracker holds O(splits × buckets) metadata rows in driver
+    memory at once (~250 B each), so ~10^7 fragments cost a few GB on
+    the driver."""
     import time as _time
 
     t0 = _time.process_time()
-    group = pa.Table.from_pylist(rows)
-    summary = MergeEncoderActor(**actor_kwargs)(group)
-    out = summary.to_pylist()[0]
+    out = MergeEncoderActor(**merge_kwargs)(rows)
     out["cpu_s"] = _time.process_time() - t0  # merge-side UDF CPU
     return out
-
-
-class DecoderActor:
-    """map_batches callable over read_binary_files rows (one blob each)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tables = []
-        for blob in batch.column("bytes"):
-            tables.append(decode_table(blob.as_py()))
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables)
 
 
 def multiset_hash(batch: pa.Table, columns: list[str] | None = None) -> int:

@@ -37,6 +37,30 @@ class TestCli:
         assert got.num_rows == rep["after"]["docs"]
         assert "text" in got.column_names
 
+    def test_encode_then_verify(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from parquet_go_ray.sources.transcripts import generate_transcripts
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        t = generate_transcripts(2000, seed=7)
+        pq.write_table(t, str(inp / "t.parquet"))
+        ckpt = str(tmp_path / "ckpt")
+        r = _run([
+            "encode", "--input", str(inp), "--checkpoint", ckpt,
+            "--rows-per-partition", "500",
+        ])
+        assert r.returncode == 0, r.stderr[-2000:]
+        summary = json.loads(r.stdout.strip().splitlines()[-1])
+        assert summary["rows_encoded"] == t.num_rows
+        assert summary["partitions"] >= 2
+
+        r = _run(["verify", "--input", str(inp), "--checkpoint", ckpt])
+        assert r.returncode == 0, r.stderr[-2000:]
+        result = json.loads(r.stdout.strip().splitlines()[-1])
+        assert result["match"] and result["rows_out"] == t.num_rows
+
     def test_bad_subcommand_exits_nonzero(self):
         r = _run(["frobnicate"], timeout=60)
         assert r.returncode != 0

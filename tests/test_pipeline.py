@@ -51,9 +51,7 @@ def test_encode_decode_verify(ray_session, transcripts_parquet, tmp_path):
 
     input_dir, original = transcripts_parquet
     ckpt = str(tmp_path / "ckpt")
-    summary = encode_pipeline(
-        input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2)
-    )
+    summary = encode_pipeline(input_dir, ckpt, rows_per_partition=2000)
     assert summary["rows_encoded"] == original.num_rows
     assert summary["partitions"] >= 4
     assert summary["blob_bytes"] < summary["raw_bytes"]
@@ -73,12 +71,19 @@ def test_encode_decode_verify(ray_session, transcripts_parquet, tmp_path):
         assert df_in[col].equals(df_out[col]), col
 
 
-def test_resume_skips_completed(ray_session, transcripts_parquet, tmp_path):
+@pytest.mark.parametrize("input_kind", ["path", "dataset"])
+def test_resume_skips_completed(ray_session, transcripts_parquet, tmp_path, input_kind):
+    import ray
+
     from parquet_go_ray.pipelines.encode import encode_pipeline
 
     input_dir, original = transcripts_parquet
+
+    def source():
+        return input_dir if input_kind == "path" else ray.data.read_parquet(input_dir)
+
     ckpt = str(tmp_path / "ckpt_resume")
-    s1 = encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2))
+    s1 = encode_pipeline(source(), ckpt, rows_per_partition=2000)
     assert s1["partitions_skipped"] == 0
 
     # Simulate a partial run: delete one partition's blob+entry.
@@ -86,15 +91,15 @@ def test_resume_skips_completed(ray_session, transcripts_parquet, tmp_path):
     os.remove(mf.blob_path(ckpt, victim))
     os.remove(mf.entry_path(ckpt, victim))
 
-    s2 = encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2))
+    s2 = encode_pipeline(source(), ckpt, rows_per_partition=2000)
     # Only the victim partition re-encodes; all others are filtered out
-    # before the shuffle (their rows never reach the encoder).
+    # in phase 1 (their rows never reach a merge task).
     assert s2["partitions"] == 1
     assert s2["rows_encoded"] < original.num_rows
-    assert mf.completed_partitions(ckpt) == mf.completed_partitions(ckpt) | {victim}
+    assert victim in mf.completed_partitions(ckpt)
 
     # And a third run is a full no-op.
-    s3 = encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2))
+    s3 = encode_pipeline(source(), ckpt, rows_per_partition=2000)
     assert s3["rows_encoded"] == 0
 
 
@@ -103,9 +108,9 @@ def test_resume_rejects_partitioning_change(ray_session, transcripts_parquet, tm
 
     input_dir, _ = transcripts_parquet
     ckpt = str(tmp_path / "ckpt_cfg")
-    encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2))
+    encode_pipeline(input_dir, ckpt, rows_per_partition=2000)
     with pytest.raises(ValueError, match="resume config mismatch"):
-        encode_pipeline(input_dir, ckpt, rows_per_partition=999, concurrency=(1, 2))
+        encode_pipeline(input_dir, ckpt, rows_per_partition=999)
 
 
 def test_hot_conversation_splits_across_partitions(ray_session, tmp_path):
@@ -145,7 +150,6 @@ def test_hot_conversation_splits_across_partitions(ray_session, tmp_path):
         ckpt,
         rows_per_partition=800,
         turns_per_salt=500,  # hot conv must split into ~6 salt blocks
-        concurrency=(1, 2),
     )
     # The hot conversation appears in more than one partition blob.
     from parquet_go_ray.state import manifest as mf
@@ -176,7 +180,7 @@ def test_partition_blobs_are_sorted_within(ray_session, transcripts_parquet, tmp
 
     input_dir, _ = transcripts_parquet
     ckpt = str(tmp_path / "ckpt_sorted")
-    encode_pipeline(input_dir, ckpt, rows_per_partition=2000, concurrency=(1, 2))
+    encode_pipeline(input_dir, ckpt, rows_per_partition=2000)
     pid = sorted(mf.completed_partitions(ckpt))[0]
     with open(mf.blob_path(ckpt, pid), "rb") as f:
         t = decode_table(f.read())
@@ -192,13 +196,9 @@ def test_partition_blobs_are_sorted_within(ray_session, transcripts_parquet, tmp
 
 
 def test_fragment_exchange_compresses_shuffled_bytes():
-    """Two-phase phase 1 must ship substantially fewer bytes than the raw
-    rows it replaces (the point of the compressed-fragment exchange)."""
-    import numpy as np
-
-    from parquet_go_ray.sources.transcripts import generate_transcripts
+    """Phase 1 must ship substantially fewer bytes than the raw rows it
+    replaces (the point of the compressed-fragment exchange)."""
     from parquet_go_ray.stages.encoder import FRAG_COL, encode_fragments
-    from parquet_go_ray.stages.salt import assign_buckets
 
     t = generate_transcripts(20000, seed=21)
     batch = assign_buckets(t.combine_chunks(), num_buckets=8)
@@ -207,38 +207,89 @@ def test_fragment_exchange_compresses_shuffled_bytes():
     assert frag_bytes < t.nbytes / 2, (frag_bytes, t.nbytes)
 
 
-def test_blobs_byte_identical_across_exchange_modes(
+def test_encode_fragments_empty_batch():
+    """A batch whose rows all belong to completed partitions reaches
+    encode_fragments empty; it yields an empty fragment table with the
+    usual schema."""
+    from parquet_go_ray.stages.encoder import encode_fragments
+
+    batch = assign_buckets(generate_transcripts(200, seed=3), num_buckets=4)
+    empty = encode_fragments(batch.slice(0, 0))
+    assert empty.num_rows == 0
+    assert empty.schema == encode_fragments(batch).schema
+
+
+def test_retried_merge_returns_written_partition(tmp_path):
+    """A retried merge task whose partition is already on disk returns
+    the written entry's summary and encodes nothing."""
+    from parquet_go_ray.stages.encoder import MergeEncoderActor
+    from parquet_go_ray.state.blob import encode_table
+
+    t = generate_transcripts(300, seed=5)
+    blob, meta = encode_table(t)
+    ckpt = str(tmp_path / "ckpt")
+    mf.write_partition(ckpt, "000003", blob, meta, raw_bytes=t.nbytes)
+    # No fragment columns: the check must run before any fragment pull.
+    out = MergeEncoderActor(ckpt)([{"_bucket": 3}])
+    assert out == {"partition_id": "000003", "rows": t.num_rows,
+                   "raw_bytes": t.nbytes, "blob_bytes": len(blob),
+                   "skipped": True}
+
+
+# sha256 over the per-blob sha256 hex digests, concatenated in blob-name
+# order, of the transcripts_parquet fixture at rows_per_partition=2000.
+GOLDEN_BLOBS_SHA256 = "8ec3fc73bfb0bb1346423827d9ac0837e1f03827fa4e525b249db9aadf18ea93"
+
+
+def test_blobs_match_golden_for_path_and_dataset_inputs(
     ray_session, transcripts_parquet, tmp_path
 ):
-    """Pin the invariant (VERDICT r2 #6): single-phase, two-phase inline
-    fragments, and the ref-based exchange all produce byte-identical
-    partition blobs — exchange topology must never leak into the stored
-    format. (Holds when the sort keys are unique per row, as in
-    transcripts; pc.sort_indices is stable, so fragment arrival order
-    cancels out.)"""
+    """Both input kinds — a local dir (fused read) and a ray.data.Dataset
+    (Ray Data read) — produce byte-identical partition blobs, pinned to
+    a golden hash: the route must never leak into the stored format.
+    (Holds when the sort keys are unique per row, as in transcripts;
+    pc.sort_indices is stable, so fragment arrival order cancels out.)"""
     import hashlib
+
+    import ray
 
     from parquet_go_ray.pipelines.encode import encode_pipeline
 
     input_dir, _ = transcripts_parquet
 
-    def blob_hashes(ckpt: str, **kw) -> dict[str, str]:
-        encode_pipeline(input_dir, ckpt, rows_per_partition=2000,
-                        concurrency=(1, 2), **kw)
-        out = {}
-        for name in os.listdir(os.path.join(ckpt, "blobs")):
-            if name.endswith(".blob"):
-                with open(os.path.join(ckpt, "blobs", name), "rb") as f:
-                    out[name] = hashlib.sha256(f.read()).hexdigest()
-        return out
+    def blobs_digest(source, ckpt: str) -> str:
+        encode_pipeline(source, ckpt, rows_per_partition=2000)
+        bdir = os.path.join(ckpt, "blobs")
+        h = hashlib.sha256()
+        for name in sorted(n for n in os.listdir(bdir) if n.endswith(".blob")):
+            with open(os.path.join(bdir, name), "rb") as f:
+                h.update(hashlib.sha256(f.read()).hexdigest().encode())
+        return h.hexdigest()
 
-    single = blob_hashes(str(tmp_path / "c1"), two_phase=False)
-    inline = blob_hashes(str(tmp_path / "c2"), two_phase=True,
-                         fragment_refs=False, fused_read=False)
-    refs = blob_hashes(str(tmp_path / "c3"), two_phase=True,
-                       fragment_refs=True, fused_read=False)
-    fused = blob_hashes(str(tmp_path / "c4"), two_phase=True,
-                        fragment_refs=True, fused_read=True)
-    fused_inline = blob_hashes(str(tmp_path / "c5"), two_phase=True,
-                               fragment_refs=False, fused_read=True)
-    assert single and single == inline == refs == fused == fused_inline
+    path = blobs_digest(input_dir, str(tmp_path / "c_path"))
+    dataset = blobs_digest(ray.data.read_parquet(input_dir), str(tmp_path / "c_ds"))
+    assert path == dataset == GOLDEN_BLOBS_SHA256
+
+
+def test_failed_phase1_releases_pinned_fragments(
+    ray_session, transcripts_parquet, tmp_path, monkeypatch
+):
+    """A phase-1 failure must still release the holder that pins the
+    fragments already put in the object store."""
+    from parquet_go_ray.pipelines import encode
+
+    calls = []
+    real = encode._release_holder
+
+    def spy(holder):
+        calls.append(holder)
+        real(holder)
+
+    monkeypatch.setattr(encode, "_release_holder", spy)
+    input_dir, _ = transcripts_parquet
+    with pytest.raises(Exception, match="no_such_col"):
+        encode.encode_pipeline(
+            input_dir, str(tmp_path / "ckpt"), key="no_such_col",
+            rows_per_partition=2000,
+        )
+    assert len(calls) == 1

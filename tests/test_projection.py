@@ -121,7 +121,7 @@ class TestZoneMapPruning:
         from parquet_go_ray.pipelines.encode import encode_pipeline
 
         ck, path, t = ckpt
-        encode_pipeline(str(path), ck, rows_per_partition=1500, concurrency=(1, 2))
+        encode_pipeline(str(path), ck, rows_per_partition=1500)
 
         # Column projection through the pipeline.
         ds = decode_pipeline(ck, columns=["conv_id", "turn_idx"], concurrency=(1, 2))
