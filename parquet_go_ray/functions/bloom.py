@@ -16,9 +16,9 @@ Hashing is the spec-mandated XXH64 of the value's PLAIN encoding
 (little-endian bytes for ints/floats, raw bytes for BYTE_ARRAY/FLBA —
 no length prefix). Implemented twice: a scalar reference (pinned
 against the published XXH64 test vectors) and a fully vectorized numpy
-kernel that processes an ``(n, length)`` byte matrix per length class —
-variable-length columns bucket rows by length first, so string hashing
-stays vectorized without a C dependency.
+kernel — fixed-width values as one ``(n, width)`` byte matrix, and
+variable-length columns walking all rows' bytes together by offset —
+so hashing stays vectorized without a C dependency.
 
 Pure public knowledge: the XXH64 spec (Cyan4973/xxHash
 doc/xxhash_spec.md) and the parquet-format bloom filter document.
@@ -122,6 +122,25 @@ def _le(mat: np.ndarray, off: int, width: int) -> np.ndarray:
     return chunk.view(dt).reshape(len(mat)).astype(np.uint64)
 
 
+def _merge(lanes) -> np.ndarray:
+    """Fold the four stripe accumulators into one hash per row."""
+    u64 = np.uint64
+    v1, v2, v3, v4 = lanes
+    h = _vrotl(v1, 1) + _vrotl(v2, 7) + _vrotl(v3, 12) + _vrotl(v4, 18)
+    for v in lanes:
+        h = (h ^ _vround(np.zeros(len(v), u64), v)) * u64(_P1) + u64(_P4)
+    return h
+
+
+def _avalanche(h: np.ndarray) -> np.ndarray:
+    u64 = np.uint64
+    h = h ^ (h >> u64(33))
+    h = h * u64(_P2)
+    h = h ^ (h >> u64(29))
+    h = h * u64(_P3)
+    return h ^ (h >> u64(32))
+
+
 def _xxh64_matrix(mat: np.ndarray, seed: int = 0) -> np.ndarray:
     """XXH64 of every row of an ``(n, L)`` uint8 matrix — the loop
     count is a function of L only, so each step is one numpy pass over
@@ -140,11 +159,7 @@ def _xxh64_matrix(mat: np.ndarray, seed: int = 0) -> np.ndarray:
             v3 = _vround(v3, _le(mat, off + 16, 8))
             v4 = _vround(v4, _le(mat, off + 24, 8))
             off += 32
-        h = (_vrotl(v1, 1) + _vrotl(v2, 7)
-             + _vrotl(v3, 12) + _vrotl(v4, 18))
-        for v in (v1, v2, v3, v4):
-            h = (h ^ _vround(np.zeros(n_rows, u64), v)) \
-                * u64(_P1) + u64(_P4)
+        h = _merge((v1, v2, v3, v4))
     else:
         h = np.full(n_rows, (seed + _P5) & _M64, u64)
     h = h + u64(L)
@@ -160,12 +175,7 @@ def _xxh64_matrix(mat: np.ndarray, seed: int = 0) -> np.ndarray:
         h = h ^ (mat[:, off].astype(u64) * u64(_P5))
         h = _vrotl(h, 11) * u64(_P1)
         off += 1
-    h = h ^ (h >> u64(33))
-    h = h * u64(_P2)
-    h = h ^ (h >> u64(29))
-    h = h * u64(_P3)
-    h = h ^ (h >> u64(32))
-    return h
+    return _avalanche(h)
 
 
 def xxh64_fixed(values: np.ndarray) -> np.ndarray:
@@ -177,28 +187,71 @@ def xxh64_fixed(values: np.ndarray) -> np.ndarray:
     return _xxh64_matrix(mat)
 
 
+def _words(data: np.ndarray, width: int) -> np.ndarray:
+    """The little-endian ``width``-byte word at every byte offset of
+    ``data`` — an unaligned strided view, no copy."""
+    return np.ndarray((len(data) - width + 1,), dtype=f"<u{width}",
+                      buffer=data, strides=(1,))
+
+
+def _rows(mask: np.ndarray):
+    """Index of the rows ``mask`` selects: ``None`` for none, a full
+    slice for all (no gather), else their positions."""
+    if not mask.any():
+        return None
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 def xxh64_bytes(lens: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Vectorized XXH64 over a variable-length byte-array column given
     as flat parts (lengths + concatenated payload — the engine's native
-    string layout). Rows bucket by length, each class hashing as one
-    ``(k, L)`` matrix pass — vectorized throughout, no per-row Python
-    in the common case of few distinct lengths."""
+    string layout). All rows walk their bytes together by offset:
+    stripe ``s`` reads the 32 bytes at ``offset + 32 s`` of every row
+    still that long (rows sorted by stripe count, so those are a
+    prefix), then at most 3 + 1 + 3 tail steps read at per-row offsets.
+    The number of numpy passes follows the longest row, not the number
+    of distinct lengths."""
     lens = np.asarray(lens, dtype=np.int64)
-    data = np.ascontiguousarray(np.asarray(data, dtype=np.uint8))
     n = len(lens)
-    out = np.empty(n, dtype=np.uint64)
-    if n == 0:
-        return out
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    for L in np.unique(lens):
-        idx = np.flatnonzero(lens == L)
-        if L == 0:
-            out[idx] = xxh64(b"")
-            continue
-        rows = data[offsets[idx, None] + np.arange(L)]
-        out[idx] = _xxh64_matrix(rows)
-    return out
+    u64 = np.uint64
+    data = np.concatenate(
+        [np.asarray(data, dtype=np.uint8).ravel(), np.zeros(8, np.uint8)]
+    )
+    w8, w4 = _words(data, 8), _words(data, 4)
+    off = np.zeros(n, dtype=np.int64)
+    np.cumsum(lens[:-1], out=off[1:])
+    stripes = lens >> 5
+    h = np.full(n, _P5, u64)  # seed 0: rows shorter than one stripe
+    order = np.flatnonzero(stripes)
+    if len(order):
+        order = order[np.argsort(-stripes[order], kind="stable")]
+        neg = -stripes[order]  # ascending
+        base = off[order]
+        lanes = np.arange(0, 32, 8)
+        v = np.tile(np.array([(_P1 + _P2) & _M64, _P2, 0, -_P1 & _M64],
+                             dtype=u64), (len(order), 1))  # (rows, 4 lanes)
+        for s in range(int(-neg[0])):
+            k = int(np.searchsorted(neg, -s, side="left"))  # rows > s stripes
+            v[:k] = _vround(v[:k], w8[(base[:k, None] + 32 * s) + lanes])
+        h[order] = _merge(v.T)
+    h += lens.astype(u64)
+    off += stripes << 5
+    rem = lens & 31
+    for j in range(3):  # 8-byte words
+        if (idx := _rows(rem >= 8 * (j + 1))) is not None:
+            x = h[idx] ^ _vround(np.zeros(len(off[idx]), u64), w8[off[idx]])
+            h[idx] = _vrotl(x, 27) * u64(_P1) + u64(_P4)
+            off[idx] += 8
+    if (idx := _rows(rem & 4)) is not None:  # one 4-byte word
+        x = h[idx] ^ (w4[off[idx]].astype(u64) * u64(_P1))
+        h[idx] = _vrotl(x, 23) * u64(_P2) + u64(_P3)
+        off[idx] += 4
+    for j in range(3):  # single bytes
+        if (idx := _rows((rem & 3) > j)) is not None:
+            x = h[idx] ^ (data[off[idx]].astype(u64) * u64(_P5))
+            h[idx] = _vrotl(x, 11) * u64(_P1)
+            off[idx] += 1
+    return _avalanche(h)
 
 
 # --- split-block bloom filter -------------------------------------------

@@ -22,7 +22,8 @@ import pyarrow as pa
 import ray
 
 from ..functions.bytearray import const_string_array
-from .window import _bucket_hash, _sortable
+from .bucketing import col_bucket, derive_num_buckets, multi_bucket_hash
+from .window import _sortable
 
 
 def grouped_collect(
@@ -46,8 +47,6 @@ def grouped_collect(
     if sep is not None and not isinstance(sep, str):
         raise ValueError(f"sep must be a string or None, got {sep!r}")
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     proj = [by] + [c for c in order_cols if c != by]
@@ -63,7 +62,7 @@ def grouped_collect(
                 f"grouped_collect: null partition keys in {by!r}"
             )
         cols = {c: batch.column(c) for c in proj}
-        cols["__pk"] = pa.array(_bucket_hash(keys, num_buckets))
+        cols["__pk"] = pa.array(col_bucket(keys, num_buckets))
         return pa.table(cols)
 
     def per_bucket(group: pa.Table) -> pa.Table:
@@ -145,8 +144,6 @@ def grouped_mode(
     if out_col is None:
         out_col = f"mode_{val_col}"
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -165,11 +162,8 @@ def grouped_mode(
             t = t.filter(pc.is_valid(vcol))
         part = t.group_by([by, val_col]).aggregate([([], "count_all")])
         part = part.rename_columns([by, val_col, "__cnt"])
-        k = part.column(by)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
         return part.append_column(
-            "__pk", pa.array(_bucket_hash(k, num_buckets))
+            "__pk", pa.array(col_bucket(part.column(by), num_buckets))
         )
 
     def per_bucket(group: pa.Table) -> pa.Table:
@@ -229,8 +223,6 @@ def grouped_count_distinct(
     if out_col is None:
         out_col = f"n_distinct_{val_col}"
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -246,11 +238,8 @@ def grouped_count_distinct(
         if vcol.null_count:
             t = t.filter(pc.is_valid(vcol))
         d = t.group_by([by, val_col]).aggregate([])  # local pair dedup
-        k = d.column(by)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
         return d.append_column(
-            "__pk", pa.array(_bucket_hash(k, num_buckets))
+            "__pk", pa.array(col_bucket(d.column(by), num_buckets))
         )
 
     def per_bucket(group: pa.Table) -> pa.Table:
@@ -358,8 +347,6 @@ def pivot_fixed(
     if len(set(out_names)) != len(out_names):
         raise ValueError(f"duplicate pivot column names: {out_names}")
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
     arrow_agg = {"sum": "sum", "count": "count", "min": "min",
                  "max": "max"}[agg]
@@ -389,11 +376,8 @@ def pivot_fixed(
             [(val_col, arrow_agg)]
         )
         cell = cell.rename_columns([by, cat_col, "__v"])
-        k = cell.column(by)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
         return cell.append_column(
-            "__pk", pa.array(_bucket_hash(k, num_buckets))
+            "__pk", pa.array(col_bucket(cell.column(by), num_buckets))
         )
 
     # partials re-combine with the same op, except count → sum
@@ -560,8 +544,6 @@ def _level_exchange(
     then the input is an already-aggregated level, rows ≈ groups)."""
 
     def agg_to(t: pa.Table) -> pa.Table:
-        from .bucketing import multi_bucket_hash
-
         dummy = not keys
         if dummy:
             t = t.append_column(
@@ -650,8 +632,6 @@ def rollup(
             "grouping keys; rename grouping_col or the aggregate"
         )
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     # one partial per distinct (col, op) need; mean needs two
@@ -667,8 +647,6 @@ def rollup(
     parts = [(name, op) for (_, op), name in need.items()]
 
     def initial(batch: pa.Table) -> pa.Table:
-        from .bucketing import multi_bucket_hash
-
         val_cols = sorted({c for (c, _), _ in need.items() if c})
         t = batch.select(by + [c for c in val_cols if c not in by])
         specs, out_names = [], []

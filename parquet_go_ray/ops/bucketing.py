@@ -1,10 +1,19 @@
-"""Input-size-derived coarse-bucket counts (VERDICT r4 item 5).
+"""The library's column hash, and input-size-derived bucket counts.
 
-The repo-wide high-cardinality groupby pattern — ``pk = hash(key) %
-num_buckets`` then one ``map_groups`` task resolving ALL of a bucket's
-groups vectorized — needs a bucket count that scales with the input: a
-fixed 64 means a 1/64 slice of a 100-TB table (~1.6 TB) must fit one
-worker. ``derive_num_buckets`` sizes the count from the dataset's
+Every column → uint64 hash in the library goes through
+:func:`col_hash64` (null-safe, float-canonicalizing XXH64 over Arrow
+buffers); :func:`col_bucket` and :func:`multi_bucket_hash` turn it into
+coarse-bucket ids and :func:`row_hash64` folds several columns into one
+per-row hash. Hashes fixed from outside stay apart: the Parquet bloom
+filter's (set by the spec), the salt's SipHash (checkpoints pin its
+buckets), the md5 SQL-parity modes and dedup's 128-bit fingerprint.
+
+Bucket counts (VERDICT r4 item 5): the repo-wide high-cardinality
+groupby pattern — ``pk = hash(key) % num_buckets`` then one
+``map_groups`` task resolving ALL of a bucket's groups vectorized —
+needs a bucket count that scales with the input: a fixed 64 means a 1/64
+slice of a 100-TB table (~1.6 TB) must fit one worker.
+``derive_num_buckets`` sizes the count from the dataset's
 metadata-estimated bytes so each bucket task sees roughly
 ``target_bucket_bytes`` of input.
 
@@ -109,16 +118,27 @@ def col_hash64(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return h.astype(np.uint64, copy=False)
 
 
+def col_bucket(col: pa.Array | pa.ChunkedArray, num_buckets: int) -> np.ndarray:
+    """Coarse-bucket ids (int32): ``col_hash64(col) % num_buckets``."""
+    return (col_hash64(col) % np.uint64(num_buckets)).astype(np.int32)
+
+
+def row_hash64(table: pa.Table, cols: list[str]) -> np.ndarray:
+    """Per-row 64-bit hash (uint64) folding ``col_hash64`` of ``cols``
+    in order, so equal rows (incl. their null pattern) hash equal."""
+    acc = np.full(table.num_rows, _SEED, dtype=np.uint64)
+    for c in cols:
+        acc = (acc * _MIX_PRIME) ^ col_hash64(table.column(c))
+    return acc
+
+
 def multi_bucket_hash(
     table: pa.Table, cols: list[str], num_buckets: int
 ) -> np.ndarray:
     """Coarse-bucket ids (int32) from the combined null-safe hash of
-    ``cols`` — the multi-key analogue of ``ops.window._bucket_hash``.
-    With ``cols == []`` every row lands in bucket 0 (the grand-total
+    ``cols`` — the multi-key analogue of :func:`col_bucket`. With
+    ``cols == []`` every row lands in bucket 0 (the grand-total
     grouping set)."""
     if not cols:
         return np.zeros(table.num_rows, dtype=np.int32)
-    acc = np.full(table.num_rows, _SEED, dtype=np.uint64)
-    for c in cols:
-        acc = (acc * _MIX_PRIME) ^ col_hash64(table.column(c))
-    return (acc % np.uint64(num_buckets)).astype(np.int32)
+    return (row_hash64(table, cols) % np.uint64(num_buckets)).astype(np.int32)

@@ -16,6 +16,8 @@ import pyarrow as pa
 
 import ray
 
+from .bucketing import col_bucket, col_hash64
+
 
 class _BroadcastJoiner:
     def __init__(self, small_ref, on: str, small_on: str, select: list[str] | None):
@@ -334,29 +336,6 @@ def range_join_broadcast(
     )
 
 
-def _key_hash64(col: pa.Array) -> np.ndarray:
-    """Full-width xxh64 of a key column's values (string/binary hash
-    the bytes, fixed-width types hash the value bytes) — the shared
-    key hash behind bucket assignment AND the join bloom filters."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type) \
-            or pa.types.is_binary(col.type) \
-            or pa.types.is_large_binary(col.type):
-        from ..functions.bloom import xxh64_bytes
-        from ..functions.bytearray import arrow_strings_to_parts
-
-        lens, data = arrow_strings_to_parts(col)
-        return xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-    from ..functions.bloom import xxh64_fixed
-
-    return xxh64_fixed(col.to_numpy(zero_copy_only=False))
-
-
-def _key_hash_pk(col: pa.Array, num_buckets: int) -> np.ndarray:
-    return (_key_hash64(col) % np.uint64(num_buckets)).astype(np.int32)
-
-
 def build_key_bloom(
     ds: ray.data.Dataset,
     on: str,
@@ -384,8 +363,6 @@ def build_key_bloom(
 
     def accumulate(words: np.ndarray, block: pa.Table) -> np.ndarray:
         key = block.column(on)
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
         if cast_to is not None and not key.type.equals(cast_to):
             key = key.cast(cast_to)
         if key.null_count:
@@ -393,7 +370,7 @@ def build_key_bloom(
         if len(key) == 0:
             return words
         f = SplitBlockBloomFilter(num_blocks, words)
-        f.insert_hashes(_key_hash64(key))
+        f.insert_hashes(col_hash64(key))
         return f.words
 
     agg = ray.data.aggregate.AggregateFn(
@@ -445,23 +422,13 @@ class _BloomPrefilter:
         import pyarrow.compute as pc
 
         key = batch.column(self.on)
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
         if self.cast_to is not None and not key.type.equals(
             self.cast_to
         ):
             key = key.cast(self.cast_to)
-        if key.null_count == len(key):
-            # all-null batch: no same-typed fill value to borrow, and
-            # nothing can be in the bloom anyway
-            hit = np.full(len(key), self.keep_nulls, dtype=bool)
-        elif key.null_count:
-            filled = pc.fill_null(key, key.drop_null()[0].as_py())
-            hit = self.bloom.contains_hashes(_key_hash64(filled))
-            isnull = np.asarray(pc.is_null(key))
-            hit[isnull] = self.keep_nulls
-        else:
-            hit = self.bloom.contains_hashes(_key_hash64(key))
+        hit = self.bloom.contains_hashes(col_hash64(key))
+        if key.null_count:
+            hit[np.asarray(pc.is_null(key))] = self.keep_nulls
         if hit.all():
             return batch
         return batch.filter(pa.array(hit))
@@ -570,21 +537,11 @@ def shuffle_join(
     def pk_of(key: pa.Array) -> np.ndarray:
         """Bucket ids; null keys (outer-kept) scatter by row index —
         they match nothing, so any bucket is correct, and scattering
-        avoids one hot bucket on a high-null corpus. Valid keys hash
-        on a null-FILLED column so the numpy dtype (and therefore the
-        hashed byte pattern) is identical to a null-free batch."""
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        if not key.null_count:
-            return _key_hash_pk(key, num_buckets)
-        if key.null_count == len(key):
-            # nothing to hash (and there is no same-typed fill value
-            # to borrow): scatter the whole batch
-            return (np.arange(len(key)) % num_buckets).astype(np.int32)
-        filled = pc.fill_null(key, key.drop_null()[0].as_py())
-        pk = _key_hash_pk(filled, num_buckets)
-        isnull = np.asarray(pc.is_null(key))
-        pk[isnull] = (np.arange(len(pk)) % num_buckets)[isnull]
+        avoids one hot bucket on a high-null corpus."""
+        pk = col_bucket(key, num_buckets)
+        if key.null_count:
+            isnull = np.asarray(pc.is_null(key))
+            pk[isnull] = (np.arange(len(pk)) % num_buckets)[isnull]
         return pk
 
     def env_left(batch: pa.Table) -> pa.Table:

@@ -33,8 +33,10 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..functions.bloom import xxh64
 from ..functions.bytearray import const_string_array
-from .bucketing import col_hash64, derive_num_buckets
+from .bucketing import col_bucket, col_hash64, derive_num_buckets
+from .text import _mix64
 
 __all__ = ["mix_datasets", "pack_sequences", "chunk_documents"]
 
@@ -102,20 +104,15 @@ def _tag_and_sample(
     ds: ray.data.Dataset, id_col: str, rate: float, seed: int,
     name: str, source_col: str,
 ) -> ray.data.Dataset:
-    # the source NAME is mixed into the hash so the same id in two
-    # sources draws independent coins
-    name_salt = np.uint64(
-        int.from_bytes(name.encode()[:8].ljust(8, b"\0"), "little")
-    )
+    # the source NAME (all of it) is mixed into the hash so the same id
+    # in two sources draws independent coins
+    name_salt = np.uint64(xxh64(name.encode()))
     thresh = np.uint64(int(rate * float(1 << 64)) - 1) if rate >= 1.0 \
         else np.uint64(int(rate * float(1 << 64)))
 
     def keep(batch: pa.Table) -> pa.Table:
-        h = col_hash64(batch.column(id_col))
-        h = (h ^ name_salt) * _GOLDEN + np.uint64(seed)
-        h = h ^ (h >> np.uint64(29))
-        h = h * np.uint64(0xBF58476D1CE4E5B9)
-        h = h ^ (h >> np.uint64(32))
+        h = _mix64((col_hash64(batch.column(id_col)) ^ name_salt) * _GOLDEN
+                   + np.uint64(seed))
         kept = batch.filter(pa.array(h < thresh)) if rate < 1.0 else batch
         return kept.append_column(
             source_col, const_string_array(kept.num_rows, name)
@@ -167,8 +164,7 @@ def pack_sequences(
                 )
             ).cast(pa.int64())
         cols = {
-            "rk": (col_hash64(batch.column(id_col))
-                   % np.uint64(num_buckets)).astype(np.int32),
+            "rk": col_bucket(batch.column(id_col), num_buckets),
             id_col: batch.column(id_col),
             "__ntok": ntok,
         }

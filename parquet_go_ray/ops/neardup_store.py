@@ -56,7 +56,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from .bucketing import col_hash64
+from .bucketing import col_bucket
 from .dedup import _GOLDEN, _band_hashes, minhash_signatures
 from .text import _mix64
 
@@ -291,8 +291,7 @@ class MinHashDedupStore:
         # id-co-partitioned exchange: hit rows (kind=0, one per hit
         # band) union source ids (kind=1), grouped by rk = hash(id).
         def hit_rows(batch: pa.Table) -> pa.Table:
-            rk = (col_hash64(batch.column(id_col))
-                  % np.uint64(num_parts)).astype(np.int32)
+            rk = col_bucket(batch.column(id_col), num_parts)
             return pa.table({
                 "rk": rk,
                 "kind": np.zeros(len(batch), dtype=np.int8),
@@ -300,8 +299,7 @@ class MinHashDedupStore:
             })
 
         def source_rows(batch: pa.Table) -> pa.Table:
-            rk = (col_hash64(batch.column(id_col))
-                  % np.uint64(num_parts)).astype(np.int32)
+            rk = col_bucket(batch.column(id_col), num_parts)
             return pa.table({
                 "rk": rk,
                 "kind": np.ones(len(batch), dtype=np.int8),

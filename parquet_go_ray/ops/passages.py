@@ -37,7 +37,7 @@ import pyarrow as pa
 
 import ray
 
-from .bucketing import col_hash64, derive_num_buckets
+from .bucketing import col_bucket, derive_num_buckets
 from .decontam import ngram_hashes
 
 __all__ = ["repeated_passages"]
@@ -86,9 +86,7 @@ def repeated_passages(
         gd, dd = gd[first], dd[first]
         ids = batch.column(id_col)
         docs_of_pairs = ids.take(pa.array(dd))
-        rk_all = (col_hash64(ids) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
+        rk_all = col_bucket(ids, num_buckets)
         return pa.table(
             {
                 "pk": np.concatenate(
@@ -156,9 +154,7 @@ def repeated_passages(
             dup = np.empty(len(wh), dtype=bool)
             dup[order] = dup_sorted
             ids = pair_rows.column(id_col)
-            rk = (col_hash64(ids) % np.uint64(num_buckets)).astype(
-                np.int32
-            )
+            rk = col_bucket(ids, num_buckets)
             # per-doc partials within this bucket: one combine pass
             import pandas as pd
 

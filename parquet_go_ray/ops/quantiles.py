@@ -26,6 +26,8 @@ import pyarrow as pa
 
 import ray
 
+from .bucketing import col_bucket, derive_num_buckets
+
 _PULL_CAP = 262_144  # rows a final exact pass may pull to the driver
 
 
@@ -213,8 +215,6 @@ def grouped_quantile(
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile {q} outside [0, 1]")
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -230,22 +230,10 @@ def grouped_quantile(
 
         if batch.column(col).null_count:
             ok &= np.asarray(pc.is_valid(batch.column(col)))
-        if pa.types.is_string(keys.type) or pa.types.is_binary(keys.type) \
-                or pa.types.is_large_string(keys.type) \
-                or pa.types.is_large_binary(keys.type):
-            from ..functions.bloom import xxh64_bytes
-            from ..functions.bytearray import arrow_strings_to_parts
-
-            lens, data = arrow_strings_to_parts(keys)
-            h = xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-        else:
-            from ..functions.bloom import xxh64_fixed
-
-            h = xxh64_fixed(keys.to_numpy(zero_copy_only=False))
         t = pa.table({
             by: keys,
             "__v": pa.array(vals),
-            "__pk": pa.array((h % np.uint64(num_buckets)).astype(np.int32)),
+            "__pk": pa.array(col_bucket(keys, num_buckets)),
         })
         return t.filter(pa.array(ok)) if not ok.all() else t
 

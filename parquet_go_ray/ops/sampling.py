@@ -8,9 +8,9 @@ REPRODUCIBLE on any cluster size, partitioning, or execution order
 
 Two hash modes:
 
-- ``xxh64`` (default): the engine path — the vectorized XXH64 kernel
-  from ``functions/bloom`` over the id column's bytes; zero per-row
-  Python.
+- ``xxh64`` (default): the engine path — the library's column hash
+  (``ops.bucketing.col_hash64``, vectorized XXH64 over the id column's
+  buffers); zero per-row Python.
 - ``md5``: SQL-parity mode, matching DuckDB
   ``CAST(('0x' || substring(md5(CAST(id AS VARCHAR)), 1, 8)) AS
   UBIGINT) % 100`` exactly so the driver's oracle gate can replay the
@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+
+from .bucketing import col_hash64
 
 
 def _rates_for(keys: pa.Array, rates: dict, default_rate: float) -> np.ndarray:
@@ -52,16 +54,7 @@ def _rates_for(keys: pa.Array, rates: dict, default_rate: float) -> np.ndarray:
 
 def _hash_mod100(ids: pa.Array, hash_mode: str) -> np.ndarray:
     if hash_mode == "xxh64":
-        from ..functions.bloom import xxh64_bytes, xxh64_fixed
-
-        if pa.types.is_integer(ids.type) or pa.types.is_floating(ids.type):
-            h = xxh64_fixed(ids.to_numpy(zero_copy_only=False))
-        else:
-            from ..functions.bytearray import arrow_strings_to_parts
-
-            lens, data = arrow_strings_to_parts(ids)
-            h = xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-        return (h % np.uint64(100)).astype(np.float64)
+        return (col_hash64(ids) % np.uint64(100)).astype(np.float64)
     if hash_mode == "md5":
         return np.array([
             int(hashlib.md5(str(v).encode()).hexdigest()[:8], 16) % 100
@@ -89,11 +82,8 @@ def stratified_sample(
         keys = batch.column(key_col)
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
-        ids = batch.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
         r = _rates_for(keys, rates, default_rate)
-        h = _hash_mod100(ids, hash_mode)
+        h = _hash_mod100(batch.column(id_col), hash_mode)
         return batch.filter(pa.array(h < r))
 
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
@@ -244,7 +234,6 @@ def split_dataset(
     Fractions must sum to 1 (±1e-9); each returned dataset is a lazy
     per-batch filter, so downstream pipelines stream as usual and the
     same row set comes back on any partitioning or rerun."""
-    from .bucketing import col_hash64
     from .text import _mix64
 
     if not fractions:
@@ -362,11 +351,7 @@ def grouped_cap_sample(
                     or pa.types.is_binary(idc.type) \
                     or pa.types.is_large_binary(idc.type):
                 # string doc ids are the NORMAL per-domain-cap case
-                from ..functions.bloom import xxh64_bytes
-                from ..functions.bytearray import arrow_strings_to_parts
-
-                lens, data = arrow_strings_to_parts(idc)
-                raw = xxh64_bytes(lens, np.frombuffer(data, np.uint8))
+                raw = col_hash64(idc)
             else:
                 raw = (idc.to_numpy(zero_copy_only=False)
                        .astype(np.int64).view(np.uint64))

@@ -23,6 +23,8 @@ import pyarrow as pa
 
 import ray
 
+from .bucketing import col_hash64
+
 
 def _alpha(m: int) -> float:
     if m == 16:
@@ -32,23 +34,6 @@ def _alpha(m: int) -> float:
     if m == 64:
         return 0.709
     return 0.7213 / (1 + 1.079 / m)
-
-
-def _hash_column(col: pa.Array) -> np.ndarray:
-    from ..functions.bloom import xxh64_bytes, xxh64_fixed
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count:
-        col = col.drop_null()
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type) \
-            or pa.types.is_binary(col.type) \
-            or pa.types.is_large_binary(col.type):
-        from ..functions.bytearray import arrow_strings_to_parts
-
-        lens, data = arrow_strings_to_parts(col)
-        return xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-    return xxh64_fixed(col.to_numpy(zero_copy_only=False))
 
 
 def hll_registers(hashes: np.ndarray, p: int) -> np.ndarray:
@@ -91,7 +76,7 @@ def approx_distinct(
         raise ValueError(f"p must be in [4, 18], got {p}")
 
     def sketch(batch: pa.Table) -> pa.Table:
-        reg = hll_registers(_hash_column(batch.column(col)), p)
+        reg = hll_registers(col_hash64(batch.column(col).drop_null()), p)
         return pa.table({"reg": pa.array([reg.tobytes()], pa.binary())})
 
     rows = ds.map_batches(
@@ -164,7 +149,7 @@ def approx_topk_frequent(
         cnts = vc.field("counts").to_numpy(zero_copy_only=False)
         cms = np.zeros((depth, width), dtype=np.int64)
         if len(vals):
-            pos = _cms_positions(_hash_column(vals), depth, width)
+            pos = _cms_positions(col_hash64(vals), depth, width)
             for i in range(depth):
                 np.add.at(cms[i], pos[i], cnts)
         top = np.argsort(-cnts, kind="stable")[:cap]
@@ -212,7 +197,7 @@ def approx_topk_frequent(
     import pyarrow.compute as pc
 
     cand = pc.unique(pa.concat_arrays(cand_chunks))
-    pos = _cms_positions(_hash_column(cand), depth, width)
+    pos = _cms_positions(col_hash64(cand), depth, width)
     est = merged[np.arange(depth)[:, None], pos].min(axis=0)
     # Full (est desc, value asc) sort BEFORE the k-cut: candidate
     # arrival order depends on block completion order, so any

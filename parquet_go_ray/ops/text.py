@@ -16,6 +16,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .bucketing import col_bucket, derive_num_buckets
+
 
 def _set(batch: pa.Table, name: str, arr) -> pa.Table:
     """Replace-or-append a column (input tables may already carry one)."""
@@ -556,12 +558,7 @@ def doc_frequency(
     with two more C++ group-bys. No per-token Python anywhere."""
     import ray  # noqa: F401  (type only; library code never inits)
 
-    from ..functions.bloom import xxh64_bytes
-    from ..functions.bytearray import arrow_strings_to_parts
-
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -575,13 +572,8 @@ def doc_frequency(
         )
         t = pa.table({"token": pc.list_flatten(toks), id_col: pa.array(ids)})
         d = t.group_by(["token", id_col]).aggregate([])  # local pair dedup
-        tok = d.column("token")
-        if isinstance(tok, pa.ChunkedArray):
-            tok = tok.combine_chunks()
-        tl, td = arrow_strings_to_parts(tok)
-        pk = (xxh64_bytes(tl, np.frombuffer(td, np.uint8))
-              % np.uint64(num_buckets)).astype(np.int32)
-        return d.append_column("pk", pa.array(pk))
+        return d.append_column(
+            "pk", pa.array(col_bucket(d.column("token"), num_buckets)))
 
     def per_bucket(group: pa.Table) -> pa.Table:
         d = group.group_by(["token", id_col]).aggregate([])  # global dedup

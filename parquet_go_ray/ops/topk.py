@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray
 
+from .bucketing import col_bucket, derive_num_buckets
+
 
 def _sort_key(arr: np.ndarray, descending: bool) -> np.ndarray:
     """An array whose ASCENDING order equals the requested order of arr.
@@ -142,8 +144,6 @@ def grouped_topk(
     if isinstance(descending, bool):
         descending = [descending] * len(keys)
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def local(batch: pa.Table) -> pa.Table:
@@ -151,22 +151,10 @@ def grouped_topk(
 
     def bucketed(batch: pa.Table) -> pa.Table:
         col = batch.column(by)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
         if col.null_count:
             raise ValueError(f"grouped_topk: null group keys in {by!r}")
-        if pa.types.is_string(col.type) or pa.types.is_binary(col.type)                 or pa.types.is_large_string(col.type) or pa.types.is_large_binary(col.type):
-            from ..functions.bloom import xxh64_bytes
-            from ..functions.bytearray import arrow_strings_to_parts
-
-            lens, data = arrow_strings_to_parts(col)
-            h = xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-        else:
-            from ..functions.bloom import xxh64_fixed
-
-            h = xxh64_fixed(col.to_numpy(zero_copy_only=False))
-        pk = (h % np.uint64(num_buckets)).astype(np.int32)
-        return batch.append_column("__pk", pa.array(pk))
+        return batch.append_column(
+            "__pk", pa.array(col_bucket(col, num_buckets)))
 
     def finish(group: pa.Table) -> pa.Table:
         out = _per_group_topk(group, by, keys, descending, k)

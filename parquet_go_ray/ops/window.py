@@ -33,23 +33,7 @@ import pyarrow as pa
 
 import ray
 
-
-def _bucket_hash(col: pa.Array, num_buckets: int) -> np.ndarray:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type) \
-            or pa.types.is_binary(col.type) \
-            or pa.types.is_large_binary(col.type):
-        from ..functions.bloom import xxh64_bytes
-        from ..functions.bytearray import arrow_strings_to_parts
-
-        lens, data = arrow_strings_to_parts(col)
-        h = xxh64_bytes(lens, np.frombuffer(data, np.uint8))
-    else:
-        from ..functions.bloom import xxh64_fixed
-
-        h = xxh64_fixed(col.to_numpy(zero_copy_only=False))
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+from .bucketing import col_bucket, derive_num_buckets
 
 
 def _sortable(col) -> np.ndarray:
@@ -373,8 +357,6 @@ def window_multi(
             f"{order_cols}"
         )
     if num_buckets is None:
-        from .bucketing import derive_num_buckets
-
         num_buckets = derive_num_buckets(ds)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -388,7 +370,7 @@ def window_multi(
         cols = {by: keys}
         for c in out_schema[1:]:
             cols[c] = batch.column(c)
-        cols["__pk"] = pa.array(_bucket_hash(keys, num_buckets))
+        cols["__pk"] = pa.array(col_bucket(keys, num_buckets))
         return pa.table(cols)
 
     def _agg_out_type(kind: str) -> pa.DataType:

@@ -344,16 +344,3 @@ def merge_encode_task(rows: list[dict], merge_kwargs: dict) -> dict:
     out = MergeEncoderActor(**merge_kwargs)(rows)
     out["cpu_s"] = _time.process_time() - t0  # merge-side UDF CPU
     return out
-
-
-def multiset_hash(batch: pa.Table, columns: list[str] | None = None) -> int:
-    """Order-independent content hash of a batch: the sum (mod 2^64) of
-    per-row SipHashes. Equal multisets of rows ⇔ equal hashes (whp), so a
-    distributed sum over batches verifies round-trip equality without any
-    shuffle or driver-side materialization."""
-    import pandas as pd
-
-    cols = columns or sorted(batch.column_names)
-    df = batch.select(cols).to_pandas()
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy(dtype=np.uint64)
-    return int(h.sum(dtype=np.uint64))

@@ -68,6 +68,17 @@ class TestXXH64:
         assert got == [xxh64(b) for b in blobs]
         assert got[2] == got[4]  # equal inputs, equal hashes
 
+    def test_many_lengths_in_one_batch_equal_scalar(self):
+        # Rows of every length class interleaved in one call: stripe
+        # counts and tail steps differ row by row.
+        rng = np.random.default_rng(2)
+        lens = rng.permutation(np.concatenate(
+            [np.arange(0, 140), rng.integers(0, 400, 200)]))
+        blobs = [rng.integers(0, 256, L, dtype=np.uint8).tobytes()
+                 for L in lens]
+        flat = np.frombuffer(b"".join(blobs), np.uint8)
+        assert list(xxh64_bytes(lens, flat)) == [xxh64(b) for b in blobs]
+
 
 class TestSBBF:
     def test_insert_query_and_fpp(self):

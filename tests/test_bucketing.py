@@ -61,9 +61,9 @@ def test_per_bucket_bytes_bounded_on_skewed_keys(ray_session, big_parquet):
     # Zipf-skewed key draw over 10k distinct keys
     rng = np.random.default_rng(5)
     keys = (rng.zipf(1.3, size=200_000) % 10_000).astype(np.int64)
-    from parquet_go_ray.ops.window import _bucket_hash
+    from parquet_go_ray.ops.bucketing import col_bucket
 
-    pk = _bucket_hash(pa.array(keys), nb)
+    pk = col_bucket(pa.array(keys), nb)
     counts = np.bincount(pk, minlength=nb)
     bytes_per_row = est / len(t)
     peak = counts.max() * bytes_per_row
@@ -75,7 +75,7 @@ def test_per_bucket_bytes_bounded_on_skewed_keys(ray_session, big_parquet):
     # and the non-mega-key mass spreads: remove the single hottest key
     # and the residual peak is near-uniform
     top = np.bincount(keys).argmax()
-    pk2 = _bucket_hash(pa.array(keys[keys != top]), nb)
+    pk2 = col_bucket(pa.array(keys[keys != top]), nb)
     resid_peak = np.bincount(pk2, minlength=nb).max() * bytes_per_row
     assert resid_peak <= 4 * max(target, est / nb), (resid_peak, target, nb)
 

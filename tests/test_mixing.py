@@ -42,6 +42,25 @@ class TestMixDatasets:
         assert sorted(other[other.source_name == "web"]["doc_id"]) != \
             sorted(out[out.source_name == "web"]["doc_id"])
 
+    def test_source_name_salts_all_of_the_name(self, ray_session):
+        """Two sources whose names share their first 8 bytes, with the
+        same ids and equal weights, draw independent coins."""
+        import ray
+
+        from parquet_go_ray.ops.mixing import mix_datasets
+
+        srcs = {
+            "wikipedia_en": ray.data.from_arrow(_src(range(4_000))),
+            "wikipedia_fr": ray.data.from_arrow(_src(range(4_000))),
+            "books": ray.data.from_arrow(_src(range(2_000))),
+        }
+        out = mix_datasets(srcs, {n: 1.0 for n in srcs}).to_pandas()
+        en, fr = (set(out[out.source_name == n]["doc_id"])
+                  for n in ("wikipedia_en", "wikipedia_fr"))
+        assert abs(len(en) - 2000) < 200 and abs(len(fr) - 2000) < 200
+        # rate 0.5 each: independent coins share ~1/4 of the 4000 ids
+        assert abs(len(en & fr) - 1000) < 150, len(en & fr)
+
     def test_zero_weight_source_dropped(self, ray_session):
         import ray
 

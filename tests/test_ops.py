@@ -779,6 +779,32 @@ class TestStratifiedSample:
                 hash_mode="bogus",
             ).to_pandas()
 
+    def test_null_ids_do_not_change_other_rows_coins(self, ray_session):
+        """A null id in a batch must not move the other ids' hashes:
+        the kept id set is the same whether or not the blocks carry
+        null-id rows (the output must not depend on the batching)."""
+        import ray
+
+        from parquet_go_ray.ops.sampling import stratified_sample
+
+        def kept(with_nulls: bool) -> list[int]:
+            blocks = []
+            for b in range(4):
+                ids = list(range(b * 100, (b + 1) * 100))
+                ids += [None] if with_nulls else []
+                blocks.append(pa.table({
+                    "id": pa.array(ids, pa.int64()),
+                    "kind": pa.array(["k"] * len(ids)),
+                }))
+            out = stratified_sample(
+                ray.data.from_arrow(blocks), "kind", "id", {"k": 50}
+            ).to_pandas()
+            return sorted(int(i) for i in out["id"].dropna())
+
+        plain = kept(False)
+        assert 150 < len(plain) < 250
+        assert kept(True) == plain
+
 
 class TestDocFrequency:
     def test_matches_sql_distinct_count(self, ray_session):
