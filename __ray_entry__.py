@@ -761,7 +761,8 @@ def _q_setop_json_events(sf_dir: str):
 
 def _q_broadcast_join(sf_dir: str):
     """Broadcast hash join: lineitem (big, streamed) x part (small,
-    ray.put once, indexed per actor) — the no-shuffle join plan."""
+    indexed once on the driver, ray.put once) — the no-shuffle join
+    plan."""
     import pyarrow.parquet as pq
 
     from parquet_go_ray.ops.join import broadcast_join

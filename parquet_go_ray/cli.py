@@ -92,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("--boilerplate-min-docs", type=int, default=10)
     pc.add_argument("--decontam-n", type=int, default=13)
     pc.add_argument("--pack-tokens", type=int, default=None,
-                    help="also write packed sequences to OUT/packed")
+                    help="also write packed sequences to the sibling "
+                         "directory OUT_packed")
 
     args = p.parse_args(argv)
 
@@ -173,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             out["dataset"].write_parquet(f"local://{args.out}")
             if "packed" in out:
-                out["packed"].write_parquet(f"local://{args.out}/packed")
+                # a sibling, so OUT holds only the curated docs' schema
+                out["packed"].write_parquet(
+                    f"local://{args.out.rstrip('/')}_packed")
             print(json.dumps(out["report"]))
         elif args.cmd == "scan":
             from .sources.parquet_pages import read_parquet_native

@@ -1,61 +1,36 @@
-"""Shared dispatch for broadcast-probe stages (decontam, LM scoring,
-boilerplate removal): per-batch work against one ``ray.put``-broadcast
-numpy state.
+"""The one execution shape of every broadcast-probe operator (joins,
+ann/tf-idf scoring, decontam, boilerplate removal, LM scoring).
 
-Two execution shapes, auto-selected (the ``ann_topk`` precedent,
-measured there at 3.7s → ~1s on the sf0.1 bench):
+A *probe* is the small-side state plus its per-batch ``__call__``. The
+caller builds it ONCE on the driver (sort, index, normalize), it is
+``ray.put`` once, and each batch runs as a stateless task that
+``ray.get``s it — numpy and Arrow buffers come back zero-copy from the
+node's object store, and the Ray worker pool is reused across calls.
 
-- STATELESS TASKS when the state is small (default < 8 MiB): the
-  object ref rides ``fn_kwargs`` and each task calls ``ray.get`` —
-  plasma-local and zero-copy for numpy after the first touch on a
-  node, and the Ray worker pool is reused, so there is NO actor-pool
-  ramp (the dominant cost of these stages on small inputs: the pool
-  spins up to 8 fresh processes for seconds of work).
-- ACTOR POOL when the state is big enough that per-task handling
-  would hurt, or when the caller passes an explicit ``concurrency``
-  — the broadcast-once-per-actor shape the 100-TB brief prescribes.
+There is no actor pool. A pool pays seconds of ramp on every call and
+keeps its CPUs after the call returns. Measured with
+``tools/ops_bench.py`` on a 1-core host with 3 Ray CPUs, tasks beat it
+on small state (the four sf0.1 broadcast-join entry queries: 1.6-3.8 s
+with pools, 0.33-1.6 s as tasks) and on large state (a 61 MiB n-gram
+set over 200k docs: 8.5-9.0 s with a pool, 4.8-5.0 s as tasks), so no
+state-size threshold selects between them.
 """
 
 from __future__ import annotations
 
 import ray
 
-_SMALL_STATE_BYTES = 8 << 20
+
+def _probe_batch(batch, probe_ref):
+    return ray.get(probe_ref)(batch)
 
 
-def broadcast_map_batches(
-    ds: ray.data.Dataset,
-    actor_cls,
-    state_key: str,
-    state_obj,
-    state_bytes: int,
-    concurrency,
-    **ctor_kwargs,
-):
-    """Run ``actor_cls`` over ``ds`` with ``state_key=ray.put(state)``
-    in its constructor kwargs — as stateless tasks (a fresh instance
-    per batch; cheap because the state get is plasma-local) when the
-    state is small and ``concurrency`` is None, else as an
-    autoscaling actor pool."""
-    ref = ray.put(state_obj)
-    kwargs = dict(ctor_kwargs)
-    kwargs[state_key] = ref
-    if concurrency is None and state_bytes < _SMALL_STATE_BYTES:
-
-        def task_fn(batch, **kw):
-            return actor_cls(**kw)(batch)
-
-        return ds.map_batches(
-            task_fn,
-            fn_kwargs=kwargs,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+def broadcast_map_batches(ds: ray.data.Dataset, probe) -> ray.data.Dataset:
+    """``probe(batch)`` over every pyarrow batch of ``ds``, with
+    ``probe`` shipped once through the object store."""
     return ds.map_batches(
-        actor_cls,
-        fn_constructor_kwargs=kwargs,
+        _probe_batch,
+        fn_kwargs={"probe_ref": ray.put(probe)},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency or (1, 8),
-        num_cpus=1,
     )

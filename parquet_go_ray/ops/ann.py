@@ -1,9 +1,12 @@
 """Similarity search over an embedding column (list<float>).
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast once
-per actor (constructor arg → ray.put'd once, NOT re-shipped per batch),
-each batch does one float64 matmul and emits only its local top-k
-candidates, and the driver merges the tiny candidate stream. No shuffle.
+Baseline: brute-force cosine top-k — the ``CosineTopK`` probe (the
+query matrix, normalized once on the driver) is ``ray.put`` once and
+each batch runs as a stateless task through
+``_broadcast.broadcast_map_batches``: one float64 matmul, only its local
+top-k candidates out, and the driver merges the tiny candidate stream.
+No shuffle and no actor pool, whatever the matrix size (tasks beat the
+pool on small and on large broadcast state; see ``_broadcast``).
 
 Scale path: IVF as a PERSISTED index — k-means-lite centroids from a
 uniform corpus-wide sample (streamed bottom-k by hash priority, no head
@@ -19,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 
 import ray
+
+from ._broadcast import broadcast_map_batches
 
 
 def _emb_matrix(batch: pa.Table, emb_col: str) -> np.ndarray:
@@ -50,7 +55,8 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class CosineTopK:
-    """map_batches actor: local top-k cosine candidates per query."""
+    """Broadcast probe: one batch's local top-k cosine candidates per
+    query."""
 
     def __init__(self, queries: np.ndarray, k: int, id_col: str, emb_col: str):
         self.queries = _normalize(np.asarray(queries, dtype=np.float64))
@@ -59,28 +65,21 @@ class CosineTopK:
         self.emb_col = emb_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _topk_fn(batch, self.queries, self.k, self.id_col,
-                        self.emb_col)
-
-
-def _topk_fn(batch: pa.Table, queries_norm: np.ndarray, k: int,
-             id_col: str, emb_col: str) -> pa.Table:
-    """One batch's local top-k cosine candidates (queries pre-normalized)."""
-    emb = _normalize(_emb_matrix(batch, emb_col))
-    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-    scores = emb @ queries_norm.T  # (n, q)
-    n, q = scores.shape
-    k = min(k, n)
-    top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]  # (k, q)
-    qidx = np.repeat(np.arange(q), k)
-    vidx = top.T.reshape(-1)
-    return pa.table(
-        {
-            "query_id": qidx.astype(np.int64),
-            id_col: ids[vidx].astype(np.int64),
-            "score": scores[vidx, qidx].astype(np.float64),
-        }
-    )
+        emb = _normalize(_emb_matrix(batch, self.emb_col))
+        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
+        scores = emb @ self.queries.T  # (n, q)
+        n, q = scores.shape
+        k = min(self.k, n)
+        top = np.argpartition(-scores, kth=k - 1, axis=0)[:k]  # (k, q)
+        qidx = np.repeat(np.arange(q), k)
+        vidx = top.T.reshape(-1)
+        return pa.table(
+            {
+                "query_id": qidx.astype(np.int64),
+                self.id_col: ids[vidx].astype(np.int64),
+                "score": scores[vidx, qidx].astype(np.float64),
+            }
+        )
 
 
 def ann_topk(
@@ -89,36 +88,10 @@ def ann_topk(
     k: int = 5,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    concurrency=None,
 ) -> pa.Table:
-    """Exact distributed top-k; returns (query_id, id, rank, score).
-
-    Small query matrices (< 4 MiB) run as STATELESS tasks — the matrix
-    rides in fn_kwargs, no actor pool to spin up (actor ramp-up
-    dominates wall on small inputs: measured 3.7s → ~1s on the sf0.1
-    bench). Larger matrices keep the actor pool so the normalized
-    queries are built once per actor, not re-shipped/renormalized per
-    batch (the broadcast pattern the 100-TB brief requires)."""
-    kwargs = {"queries": queries, "k": k, "id_col": id_col,
-              "emb_col": emb_col}
-    if queries.nbytes < (4 << 20) and concurrency is None:
-        qn = _normalize(np.asarray(queries, dtype=np.float64))
-        cand = ds.map_batches(
-            _topk_fn,
-            fn_kwargs={"queries_norm": qn, "k": k, "id_col": id_col,
-                       "emb_col": emb_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    else:
-        cand = ds.map_batches(
-            CosineTopK,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=concurrency or (1, 8),
-            num_cpus=1,
-        )
+    """Exact distributed top-k; returns (query_id, id, rank, score)."""
+    cand = broadcast_map_batches(
+        ds, CosineTopK(queries, k, id_col, emb_col))
     # Candidate stream is (num_batches × q × k) rows; fold it driver-side
     # INCREMENTALLY — the working set never exceeds ~8×q×k rows, so the
     # driver stays O(q × k) even when the corpus has millions of blocks.

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from ._broadcast import broadcast_map_batches
 from .sketch import _cms_positions
 from .text import _mix64
 
@@ -159,13 +160,12 @@ def line_df_sketch(
 
 
 class _BoilerplateRemover:
-    """Actor-pool stage: fetch the broadcast sketch once; per batch
-    one hash pass + CMS lookup + binary_join reassembly."""
+    """Broadcast probe: the line-frequency sketch; per batch one hash
+    pass + CMS lookup + binary_join reassembly."""
 
-    def __init__(self, cms_ref, text_col: str, min_docs: int,
+    def __init__(self, cms: np.ndarray, text_col: str, min_docs: int,
                  max_line_chars: int, keep_blank: bool):
-        self.cms = (ray.get(cms_ref)
-                    if not isinstance(cms_ref, np.ndarray) else cms_ref)
+        self.cms = cms
         self.text_col = text_col
         self.min_docs = min_docs
         self.max_line_chars = max_line_chars
@@ -229,7 +229,6 @@ def remove_boilerplate_lines(
     depth: int = 4,
     max_line_chars: int = 500,
     keep_blank: bool = True,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Drop every line appearing in ≥ ``min_docs`` documents (by CMS
     estimate — overcounts only, so errors drop extra boilerplate) and
@@ -241,11 +240,6 @@ def remove_boilerplate_lines(
         raise ValueError(f"min_docs must be >= 2, got {min_docs}")
     if cms is None:
         cms = line_df_sketch(ds, text_col, width=width, depth=depth)
-    cms = np.ascontiguousarray(cms)
-    from ._broadcast import broadcast_map_batches
-
-    return broadcast_map_batches(
-        ds, _BoilerplateRemover, "cms_ref", cms, cms.nbytes,
-        concurrency, text_col=text_col, min_docs=min_docs,
-        max_line_chars=max_line_chars, keep_blank=keep_blank,
-    )
+    return broadcast_map_batches(ds, _BoilerplateRemover(
+        np.ascontiguousarray(cms), text_col, min_docs, max_line_chars,
+        keep_blank))

@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ._broadcast import broadcast_map_batches
 from .text import _mix64, _POLY_BASE, hashed_tokens
 
 __all__ = [
@@ -111,13 +112,12 @@ def build_ngram_set(
 
 
 class _Decontaminator:
-    """Actor-pool stage: fetch the broadcast gram set once per actor,
-    probe each batch with one searchsorted."""
+    """Broadcast probe: the sorted gram set; each batch is one
+    searchsorted."""
 
-    def __init__(self, set_ref, text_col: str, n: int, lower: bool,
-                 mode: str, min_hits: int):
-        self.grams = (ray.get(set_ref)
-                      if not isinstance(set_ref, np.ndarray) else set_ref)
+    def __init__(self, grams: np.ndarray, text_col: str, n: int,
+                 lower: bool, mode: str, min_hits: int):
+        self.grams = grams
         self.text_col = text_col
         self.n = n
         self.lower = lower
@@ -154,7 +154,6 @@ def decontaminate(
     lower: bool = True,
     mode: str = "flag",
     min_hits: int = 1,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Flag (``mode="flag"``: appends ``contaminated_ngrams`` — the
     number of gram POSITIONS in the doc whose gram appears in the
@@ -170,14 +169,9 @@ def decontaminate(
             raise ValueError("need a benchmark dataset or a gram_set")
         gram_set = build_ngram_set(
             benchmark, benchmark_text_col or text_col, n, lower)
-    gram_set = np.asarray(gram_set, dtype=np.uint64)
-    from ._broadcast import broadcast_map_batches
-
-    return broadcast_map_batches(
-        corpus, _Decontaminator, "set_ref", gram_set, gram_set.nbytes,
-        concurrency, text_col=text_col, n=n, lower=lower, mode=mode,
-        min_hits=min_hits,
-    )
+    return broadcast_map_batches(corpus, _Decontaminator(
+        np.asarray(gram_set, dtype=np.uint64), text_col, n, lower, mode,
+        min_hits))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +198,12 @@ def collect_benchmark_embeddings(
 
 
 class _EmbDecontaminator:
-    """Actor-pool stage: fetch the broadcast benchmark matrix once per
-    actor; per batch ONE matmul + row-max."""
+    """Broadcast probe: the benchmark matrix; per batch ONE matmul +
+    row-max."""
 
-    def __init__(self, mat_ref, emb_col: str, threshold: float,
+    def __init__(self, bench: np.ndarray, emb_col: str, threshold: float,
                  mode: str):
-        self.bench = (ray.get(mat_ref)
-                      if not isinstance(mat_ref, np.ndarray)
-                      else mat_ref)
+        self.bench = bench
         self.emb_col = emb_col
         self.threshold = threshold
         self.mode = mode
@@ -242,7 +234,6 @@ def decontaminate_embeddings(
     benchmark_emb_col: str | None = None,
     threshold: float = 0.95,
     mode: str = "flag",
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Semantic decontamination: flag (``mode='flag'``: appends
     ``benchmark_similarity`` = max cosine vs any benchmark embedding,
@@ -264,11 +255,5 @@ def decontaminate_embeddings(
         bench_matrix = collect_benchmark_embeddings(
             benchmark, benchmark_emb_col or emb_col
         )
-    bench_matrix = np.ascontiguousarray(bench_matrix)
-    from ._broadcast import broadcast_map_batches
-
-    return broadcast_map_batches(
-        corpus, _EmbDecontaminator, "mat_ref", bench_matrix,
-        bench_matrix.nbytes, concurrency, emb_col=emb_col,
-        threshold=threshold, mode=mode,
-    )
+    return broadcast_map_batches(corpus, _EmbDecontaminator(
+        np.ascontiguousarray(bench_matrix), emb_col, threshold, mode))

@@ -34,6 +34,7 @@ import pyarrow as pa
 
 import ray
 
+from ._broadcast import broadcast_map_batches
 from .sketch import _cms_positions
 from .text import _mix64, hashed_tokens
 
@@ -193,9 +194,8 @@ def train_ngram_lm(
 
 
 class _LmScorer:
-    def __init__(self, lm_ref, text_col: str, lower: bool):
-        self.lm = (ray.get(lm_ref)
-                   if not isinstance(lm_ref, NgramLM) else lm_ref)
+    def __init__(self, lm: NgramLM, text_col: str, lower: bool):
+        self.lm = lm
         self.text_col = text_col
         self.lower = lower
 
@@ -214,15 +214,9 @@ def lm_perplexity(
     lm: NgramLM,
     text_col: str = "text",
     lower: bool = True,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Append ``lm_bits_per_token`` (log2 perplexity under ``lm``) to
     each corpus row — threshold or stratify on it downstream (CCNet
     kept the low-perplexity head/middle of the distribution)."""
-    from ._broadcast import broadcast_map_batches
-
     return broadcast_map_batches(
-        corpus, _LmScorer, "lm_ref", lm,
-        lm.uni.nbytes + lm.bi.nbytes, concurrency,
-        text_col=text_col, lower=lower,
-    )
+        corpus, _LmScorer(lm, text_col, lower))

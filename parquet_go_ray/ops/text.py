@@ -16,6 +16,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from ._broadcast import broadcast_map_batches
 from .bucketing import col_bucket, derive_num_buckets
 
 
@@ -663,16 +664,13 @@ def repetition_stats(
 
 
 class _TfIdfScorer:
-    """Actor: holds the broadcast document-frequency table (fetched
-    once from the object store per actor) and scores each batch
-    locally — a doc's tokens all live in its own row, so tf and the
-    per-doc top-k never shuffle; only the vocabulary-sized df table
-    moves, once."""
+    """Broadcast probe: holds the document-frequency table and scores
+    each batch locally — a doc's tokens all live in its own row, so tf
+    and the per-doc top-k never shuffle; only the vocabulary-sized df
+    table moves, once."""
 
-    def __init__(self, df_ref, text_col: str, id_col: str, k: int):
-        import ray
-
-        df_tbl: pa.Table = ray.get(df_ref)
+    def __init__(self, df_tbl: pa.Table, text_col: str, id_col: str,
+                 k: int):
         tok = df_tbl.column("token")
         self.df_tokens = (tok.combine_chunks()
                           if isinstance(tok, pa.ChunkedArray) else tok)
@@ -765,19 +763,8 @@ def tfidf_topk(
     ]
     df_tbl = (pa.concat_tables(parts).combine_chunks()
               if parts else schema.empty_table())
-    return ds.map_batches(
-        _TfIdfScorer,
-        fn_constructor_kwargs={
-            "df_ref": ray.put(df_tbl),
-            "text_col": text_col,
-            "id_col": id_col,
-            "k": k,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-        num_cpus=1,
-    )
+    return broadcast_map_batches(
+        ds, _TfIdfScorer(df_tbl, text_col, id_col, k))
 
 
 # --- PII redaction -------------------------------------------------------

@@ -37,6 +37,35 @@ class TestCli:
         assert got.num_rows == rep["after"]["docs"]
         assert "text" in got.column_names
 
+    def test_curate_packs_outside_curated_output(self, tmp_path):
+        """``--pack-tokens`` writes the packs to the sibling
+        ``OUT_packed``; reading ``OUT`` back gives only the curated
+        docs (packs inside OUT made it read the packed schema)."""
+        import numpy as np
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{i}" for i in range(400)])
+        docs = str(tmp_path / "docs.parquet")
+        pq.write_table(pa.table({
+            "doc_id": pa.array(range(300), pa.int64()),
+            "text": [" ".join(rng.choice(words, int(n)))
+                     for n in rng.integers(10, 80, 300)],
+        }), docs)
+        out = str(tmp_path / "curated")
+        r = _run([
+            "curate", "--input", docs, "--out", out,
+            "--pack-tokens", "64",
+        ])
+        assert r.returncode == 0, r.stderr[-2000:]
+        rep = json.loads(r.stdout.strip().splitlines()[-1])
+        got = pq.read_table(out)
+        assert got.num_rows == rep["after"]["docs"]
+        assert "text" in got.column_names
+        packs = pq.read_table(out + "_packed")
+        assert packs.num_rows > 0 and "pack_id" in packs.column_names
+
     def test_encode_then_verify(self, tmp_path):
         import pyarrow.parquet as pq
 

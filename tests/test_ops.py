@@ -191,7 +191,7 @@ def test_broadcast_join(ray_session):
     small = pa.table(
         {"k": pa.array([1, 2, 3], pa.int64()), "name": pa.array(["one", "two", "three"])}
     )
-    out = broadcast_join(big, small, on="k", concurrency=(1, 2)).to_pandas()
+    out = broadcast_join(big, small, on="k").to_pandas()
     out = out.sort_values(["k", "v"]).reset_index(drop=True)
     assert out["name"].tolist() == ["one", "two", "two", "three", None]
 
@@ -207,9 +207,9 @@ def test_broadcast_join_rejects_duplicate_small_keys(ray_session):
     small = pa.table(
         {"k": pa.array([1, 1, 2], pa.int64()), "name": pa.array(["x", "y", "z"])}
     )
-    out = broadcast_join(big, small, on="k", concurrency=(1, 1))
-    with pytest.raises(Exception, match="duplicate keys"):
-        out.take_all()
+    # the index is built on the driver, so the call itself raises
+    with pytest.raises(ValueError, match="duplicate keys"):
+        broadcast_join(big, small, on="k")
 
 
 class TestTopK:
@@ -467,11 +467,12 @@ def test_asof_join_by_key(ray_session):
 
 
 def test_asof_join_small_side_not_reshipped(ray_session, monkeypatch):
-    """The small side must be ``ray.put`` ONCE at plan time and travel
-    as an object-store ref in the actor constructor — not captured in
-    each task's closure (VERDICT r3 item 6)."""
+    """The small side's probe must be ``ray.put`` ONCE at plan time and
+    reach the tasks as an object-store ref — not captured in each
+    task's closure (VERDICT r3 item 6)."""
     import ray
 
+    from parquet_go_ray.ops import _broadcast
     from parquet_go_ray.ops import join as join_mod
 
     puts = []
@@ -479,12 +480,12 @@ def test_asof_join_small_side_not_reshipped(ray_session, monkeypatch):
 
     def spy_put(x, **kw):
         ref = orig_put(x, **kw)
-        # from_arrow also ray.puts its block; count only the SMALL side
-        if isinstance(x, pa.Table) and "rate" in x.column_names:
+        # from_arrow also ray.puts its block; count only the probe
+        if isinstance(x, join_mod._AsofJoiner):
             puts.append(ref)
         return ref
 
-    monkeypatch.setattr(join_mod.ray, "put", spy_put)
+    monkeypatch.setattr(_broadcast.ray, "put", spy_put)
     big = ray.data.from_arrow(pa.table({
         "ts": pa.array([1, 2], pa.int64()),
     }))
@@ -492,9 +493,7 @@ def test_asof_join_small_side_not_reshipped(ray_session, monkeypatch):
         "ts": pa.array([1], pa.int64()),
         "rate": pa.array([7], pa.int64()),
     })
-    out = join_mod.asof_join_broadcast(
-        big, small, on="ts", concurrency=(1, 1)
-    ).take_all()
+    out = join_mod.asof_join_broadcast(big, small, on="ts").take_all()
     assert [r["rate"] for r in sorted(out, key=lambda r: r["ts"])] == [7, 7]
     assert len(puts) == 1  # shipped exactly once, as a ref
 

@@ -1,13 +1,21 @@
-"""Reproducible timings for the round-5 curation/analytic operators.
+"""Reproducible timings for the curation/analytic operators.
 
 Times each op over $GRAFT_SF_DIR (default /root/testdata/sf0.1) and
 prints one JSON line — the committed form of the ad-hoc timing
 snippets recorded in NOTES_r5.md, so a reviewer can rerun them.
 These are NOT part of the driver bench gate (`bench.py` owns that);
-at sf0.1 every line is fixed-overhead-dominated (actor ramp, stage
-startup) — the numbers bound op latency floors, not throughput.
+at sf0.1 every line is fixed-overhead-dominated (stage startup) — the
+numbers bound op latency floors, not throughput.
 
-Usage: python tools/ops_bench.py  [--runs N]
+The broadcast-probe operators are timed through the `__ray_entry__`
+queries that use them (the four broadcast joins, `ann_topk`,
+`tfidf_topk`, `decontaminate`), plus `decontam_61mib_gram_set`: a
+61 MiB n-gram set (8M grams) over 200k synthetic docs in 16 files.
+
+Usage: python tools/ops_bench.py  [--runs N] [--only NAME,NAME,...]
+(`--only` times just the named lines; `boilerplate_rewrite` needs
+`boilerplate_sketch` and `lm_score` needs `lm_train`.) Ray starts with
+$RAY_GRAFT_CPUS logical CPUs (default 32).
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ def main() -> None:
     runs = 2
     if "--runs" in sys.argv:
         runs = int(sys.argv[sys.argv.index("--runs") + 1])
+    only = None
+    if "--only" in sys.argv:
+        only = set(sys.argv[sys.argv.index("--only") + 1].split(","))
     if not ray.is_initialized():
         ray.init(
             address="local",
@@ -67,6 +78,8 @@ def main() -> None:
     timings: dict[str, float] = {}
 
     def timed(name: str, fn) -> None:
+        if only is not None and name not in only:
+            return
         fn()  # cold
         best = float("inf")
         for _ in range(runs):
@@ -157,6 +170,38 @@ def main() -> None:
 
     timed("profile_corpus", lambda: profile_corpus(docs()))
 
+    import __ray_entry__
+
+    def run_query(fn):
+        out = fn(sf_dir)
+        if isinstance(out, ray.data.Dataset):
+            consume(out)
+
+    entry_queries = __ray_entry__.queries()
+    for name in ("broadcast_join_lineitem_part",
+                 "semi_anti_join_lineitem_part", "range_join_events",
+                 "asof_join_events", "tfidf_topk_documents",
+                 "ann_cosine_embeddings", "decontam_documents"):
+        timed(name, lambda fn=entry_queries[name]: run_query(fn))
+
+    from parquet_go_ray.ops.decontam import decontaminate
+
+    big = {}
+
+    def big_decontam():
+        if not big:
+            big["dir"] = _synthetic_docs(200_000, 16)
+            rng = np.random.default_rng(1)
+            big["grams"] = np.unique(
+                rng.integers(0, 2**63, 8_000_000, dtype=np.uint64))
+        consume(decontaminate(
+            ray.data.read_parquet(big["dir"]),
+            gram_set=big["grams"], n=13))
+
+    timed("decontam_61mib_gram_set", big_decontam)
+    if big:
+        shutil.rmtree(big["dir"], ignore_errors=True)
+
     print(json.dumps({
         "metric": "ops_bench_best_warm_sec",
         "sf_dir": sf_dir,
@@ -164,6 +209,30 @@ def main() -> None:
         "timings": timings,
     }))
     ray.shutdown()
+
+
+def _synthetic_docs(n_docs: int, n_files: int) -> str:
+    """``n_docs`` seeded 40-word docs over a 5,000-word vocabulary,
+    written as ``n_files`` parquet files into a new temp directory."""
+    import tempfile
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(0)
+    vocab = np.array([f"w{i}" for i in range(5000)], dtype=object)
+    words = vocab[rng.integers(0, len(vocab), (n_docs, 40))]
+    text = [" ".join(row) for row in words]
+    out = tempfile.mkdtemp(prefix="pgr_opsbench_docs_")
+    per = -(-n_docs // n_files)
+    for f in range(n_files):
+        lo, hi = f * per, min((f + 1) * per, n_docs)
+        pq.write_table(pa.table({
+            "doc_id": pa.array(np.arange(lo, hi), pa.int64()),
+            "text": pa.array(text[lo:hi]),
+        }), os.path.join(out, f"docs-{f:02d}.parquet"))
+    return out
 
 
 if __name__ == "__main__":
