@@ -56,7 +56,12 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 class CosineTopK:
     """Broadcast probe: one batch's local top-k cosine candidates per
-    query."""
+    query.
+
+    Scores are float64 matmul results: their last bits can change with
+    the batch's row count and with the host's BLAS kernel, but stay
+    within 2·γ_d (γ_d = d·u/(1 − d·u), d the embedding width, u = 2⁻⁵³)
+    of a whole-table evaluation."""
 
     def __init__(self, queries: np.ndarray, k: int, id_col: str, emb_col: str):
         self.queries = _normalize(np.asarray(queries, dtype=np.float64))
@@ -89,7 +94,14 @@ def ann_topk(
     id_col: str = "vec_id",
     emb_col: str = "embedding",
 ) -> pa.Table:
-    """Exact distributed top-k; returns (query_id, id, rank, score)."""
+    """Exact (exhaustive) distributed top-k; returns (query_id, id,
+    rank, score).
+
+    ``score`` is a float64 matmul result whose last bits can change with
+    the block layout and the host's BLAS kernel, within 2·γ_d of a
+    whole-table evaluation (see :class:`CosineTopK`). The ids and ranks
+    do not depend on the block layout unless a score lies within that
+    bound of the k-th score."""
     cand = broadcast_map_batches(
         ds, CosineTopK(queries, k, id_col, emb_col))
     # Candidate stream is (num_batches × q × k) rows; fold it driver-side

@@ -199,7 +199,12 @@ def collect_benchmark_embeddings(
 
 class _EmbDecontaminator:
     """Broadcast probe: the benchmark matrix; per batch ONE matmul +
-    row-max."""
+    row-max.
+
+    The similarity is a float64 matmul result: its last bits can change
+    with the batch's row count and with the host's BLAS kernel, but stay
+    within 2·γ_d (γ_d = d·u/(1 − d·u), d the embedding width, u = 2⁻⁵³)
+    of a whole-table evaluation."""
 
     def __init__(self, bench: np.ndarray, emb_col: str, threshold: float,
                  mode: str):
@@ -244,7 +249,13 @@ def decontaminate_embeddings(
     benchmark matrix is collected once, ``ray.put`` broadcast, probed
     per batch with one matmul; no shuffle, corpus touched once. Pass
     a precomputed ``bench_matrix`` (from
-    :func:`collect_benchmark_embeddings`) to reuse across runs."""
+    :func:`collect_benchmark_embeddings`) to reuse across runs.
+
+    ``benchmark_similarity`` can change in its last bits with the block
+    layout and the host's BLAS kernel, within 2·γ_d of a whole-table
+    evaluation (see :class:`_EmbDecontaminator`); the flag, and which
+    rows ``mode='drop'`` drops, do not depend on the block layout
+    unless a similarity lies within that bound of ``threshold``."""
     if mode not in ("flag", "drop"):
         raise ValueError(f"mode {mode!r}: expected 'flag' or 'drop'")
     if bench_matrix is None:
