@@ -7,10 +7,12 @@ delta-length / delta(prefix) byte arrays, boolean RLE, plain encodings,
 plus engine-new FSST string compression and frame-of-reference bit-packing,
 selected per column per partition by a sampled-statistics auto-selector.
 
-Execution is Ray Data streaming: ``ray.data.Dataset`` pipelines over
-zero-copy Arrow batches, stateful encoder actor pools via ``map_batches``,
-salted ``conv_id`` repartitioning for skew, and a per-partition lineage
-manifest for checkpoint/resume.
+Execution is Ray: the encode is plain tasks (one phase-1 task per read
+split, whose fragment chunks are task outputs, then one merge task per
+partition), the decode and the operators are ``ray.data.Dataset``
+pipelines over zero-copy Arrow batches; salted ``conv_id`` bucketing
+handles skew, and a per-partition lineage manifest gives
+checkpoint/resume.
 """
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 A global ``Dataset.sort(...).limit(k)`` is an all-to-all shuffle of every
 row to answer a k-row question. Instead: each batch reduces itself to its
 local top-k (``np.argpartition`` — O(n) selection, no full sort), the
-k-row partials stream to the driver (bounded: k × num_batches rows), and
-one tiny final sort picks the global winners. Same pattern as the ANN
-candidate merge (ops/ann.py).
+k-row partials stream to the driver, which folds them into a pool of at
+most 8·k rows, and one tiny final sort picks the global winners. Same
+pattern as the ANN candidate merge (ops/ann.py).
 
 Multi-key orderings use ``np.lexsort`` on the (tiny) partial only; the
 per-batch selection keys on the primary column, widened to k+ties so a
@@ -71,14 +71,28 @@ def topk(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    tables = ray.get(partials.to_arrow_refs())
-    if not tables:
+    # Fold the partials driver-side INCREMENTALLY, as ann_topk does: the
+    # driver never holds more than 8·k rows, however many blocks there are.
+    pool: list[pa.Table] = []
+    held = 0
+    batches = partials.iter_batches(batch_format="pyarrow", batch_size=max(k, 1))
+    for batch in batches:
+        pool.append(batch)
+        held += batch.num_rows
+        if held > 7 * k:
+            pool = [_top_rows(pool, keys, descending, k)]
+            held = pool[0].num_rows
+    if not pool:
         return pa.table({})
+    return _top_rows(pool, keys, descending, k)
+
+
+def _top_rows(tables: list[pa.Table], keys, descending, k: int) -> pa.Table:
+    """The first ``k`` rows of ``tables`` in the requested order."""
     merged = pa.concat_tables(tables, promote_options="default").combine_chunks()
     if merged.num_rows == 0:
         return merged
-    # Final ordering on the small merged table: lexsort wants the least-
-    # significant key first.
+    # Lexsort wants the least-significant key first.
     cols = [
         _sort_key(
             merged.column(name).to_numpy(zero_copy_only=False), desc
@@ -87,7 +101,6 @@ def topk(
     ]
     order = np.lexsort(cols)[:k]
     return merged.take(pa.array(order, pa.int64()))
-
 
 def _group_codes(arr: np.ndarray) -> np.ndarray:
     """Dense int codes for an arbitrary-dtype group column (np.unique

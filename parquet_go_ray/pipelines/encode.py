@@ -1,18 +1,22 @@
 """The flagship pipeline: transcript Parquet → encoded partition blobs.
 
-Lifecycle (SURVEY.md §3.4) — one exchange, one encode per partition:
+Lifecycle (SURVEY.md §3.4) — one exchange, one encode per partition,
+all plain Ray tasks (the map/reduce shuffle of Exoshuffle, SIGCOMM 2023):
 
-    phase 1  local files: from_items(row-group splits)
-                 .map_batches(fused_read_fragments)  # read + bucket_fragments
-             Dataset / remote URI: .map_batches(bucket_fragments)
-                 bucket_fragments = salted conv_id hash → drop rows of
-                 completed partitions (resume) → zstd-IPC fragments put
-                 in the object store, ~250 B ref row per (split, bucket)
-    exchange driver groups the ref rows by bucket (map-output tracker)
-    phase 2  merge_encode_task per partition: pull fragments, merge, sort
-             (conv_id, turn_idx), auto-select codecs, encode, atomically
-             write blob + lineage → one summary row per partition
+    phase 1  fragment_task per read split (local files: footers planned
+             on the driver, read by fused_read_fragments) or per block
+             of a Dataset / remote URI (streamed from Ray Data):
+             salted conv_id hash → drop rows of completed partitions
+             (resume) → zstd-IPC fragments, returned as task outputs:
+             one small meta + one (buf, offs) chunk per 16 buckets
+    exchange driver reads the metas and groups chunk refs by bucket
+    phase 2  merge_encode_task per non-empty partition, its chunk refs
+             as arguments: merge, sort (conv_id, turn_idx), auto-select
+             codecs, encode, atomically write blob + lineage → one
+             summary row per partition
 
+The driver owns every chunk (a task output), so Ray frees each once the
+merges that take it are done, and can rebuild a lost one by lineage.
 Fragment bytes move point-to-point through the object store and never
 touch the driver. Skew is handled in the bucket key itself
 (stages/salt.py). Memory: a partition is bounded by rows_per_partition
@@ -30,13 +34,12 @@ import time
 import ray
 
 from ..stages.encoder import (
-    FRAG_CPU_COL,
-    FragmentRefHolder,
-    bucket_fragments,
-    fused_read_fragments,
+    FRAG_CHUNK_BUCKETS,
+    fragment_task,
     merge_encode_task,
+    num_chunks,
 )
-from ..stages.salt import BUCKET_COL, DEFAULT_TURNS_PER_SALT
+from ..stages.salt import DEFAULT_TURNS_PER_SALT
 from ..state import manifest as mf
 
 DEFAULT_ROWS_PER_PARTITION = 250_000
@@ -77,12 +80,12 @@ def _read_footers(input_files: list[str]) -> list[list[int]]:
 
 def _plan_read_splits(
     per_file: list[list[int]], total_rows: int, target_splits: int
-) -> list[dict]:
+) -> list[tuple[int, list[int]]]:
     """Row-group-aligned read splits of ~equal row counts (the fused
     analogue of the reference's row-group iterator walk,
-    file-reader.go:193-253)."""
+    file-reader.go:193-253): (file index, row groups) pairs."""
     per_split = max(1, total_rows // max(1, target_splits))
-    items: list[dict] = []
+    items = []
     for src, rows in enumerate(per_file):
         cur: list[int] = []
         cur_rows = 0
@@ -90,10 +93,10 @@ def _plan_read_splits(
             cur.append(g)
             cur_rows += n
             if cur_rows >= per_split:
-                items.append({"_src": src, "_rgs": cur, "_rows": cur_rows})
+                items.append((src, cur))
                 cur, cur_rows = [], 0
         if cur:
-            items.append({"_src": src, "_rgs": cur, "_rows": cur_rows})
+            items.append((src, cur))
     return items
 
 
@@ -118,10 +121,10 @@ def encode_pipeline(
     Local parquet files take the fused read (``fused_read_fragments``):
     parquet decode, salt and fragment encode run in ONE task per
     row-group-aligned split, so raw rows never enter the object store.
-    A ``ray.data.Dataset`` or a remote URI is read by Ray Data and feeds
-    the same ``bucket_fragments`` stage. For path inputs ``read_blocks``
-    fixes the number of read splits (default: sized from the cluster's
-    CPUs)."""
+    A ``ray.data.Dataset`` or a remote URI is read by Ray Data, and each
+    block it streams out feeds the same phase-1 task. For path inputs
+    ``read_blocks`` fixes the number of read splits (default: sized
+    from the cluster's CPUs)."""
     t0 = time.time()
     files = (
         None if isinstance(input_path, ray.data.Dataset)
@@ -184,67 +187,54 @@ def encode_pipeline(
         "input_files": input_files,
         "page_rows": page_rows,
     }
-    holder = FragmentRefHolder.remote()
-    # ray.put(_owner=holder) needs a LIVE owner: block until the
-    # actor is scheduled ("worker_id is empty" race otherwise).
-    ray.get(holder.add.remote([]))
     frag_kwargs = {
         "num_buckets": num_buckets,
         "key": key,
         "turn_col": turn_col,
         "turns_per_salt": turns_per_salt,
         "done_ids": sorted(int(p) for p in completed) or None,
-        "holder": holder,
     }
+    phase1 = fragment_task.options(num_returns=1 + num_chunks(num_buckets))
+    if fused:
+        read_kwargs = {"paths": input_files, "columns": columns}
+        outs = [
+            phase1.remote(split, f"{input_files[split[0]]} row groups {split[1]}",
+                          frag_kwargs, read_kwargs)
+            for split in _plan_read_splits(per_file, total_rows, blocks)
+        ]
+    else:
+        if files is not None:
+            ds = ray.data.read_parquet(
+                input_path,
+                columns=columns,
+                override_num_blocks=blocks,
+                # per-partition lineage (compacted to int32 by the salt)
+                include_paths=True,
+            )
+        frag_kwargs["path_index"] = {p: i for i, p in enumerate(input_files)}
+        # One task per block as Ray Data streams them out of the read.
+        outs = [
+            phase1.remote(block, f"Dataset block {i}", frag_kwargs, None)
+            for i, block in enumerate(
+                ref for bundle in ds.iter_internal_ref_bundles()
+                for ref in bundle.block_refs
+            )
+        ]
     try:
-        if fused:
-            read_items = _plan_read_splits(per_file, total_rows, blocks)
-            ds = ray.data.from_items(
-                read_items, override_num_blocks=len(read_items)
-            ).map_batches(
-                fused_read_fragments,
-                fn_kwargs={"paths": input_files, "columns": columns, **frag_kwargs},
-                batch_size=1,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        else:
-            if files is not None:
-                ds = ray.data.read_parquet(
-                    input_path,
-                    columns=columns,
-                    override_num_blocks=blocks,
-                    # per-partition lineage (compacted to int32 by the salt)
-                    include_paths=True,
-                )
-            path_index = {p: i for i, p in enumerate(input_files)}
-            ds = ds.map_batches(
-                bucket_fragments,
-                fn_kwargs={**frag_kwargs, "path_index": path_index},
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        # Map-output tracker: collect the METADATA-ONLY ref rows, group
-        # them by bucket on the driver, launch one merge task per
-        # partition (see merge_encode_task).
-        meta_rows = ds.take_all()
-        by_bucket: dict[int, list[dict]] = {}
-        for r in meta_rows:
-            by_bucket.setdefault(int(r[BUCKET_COL]), []).append(r)
-        rows = ray.get([
-            merge_encode_task.remote(rows_b, merge_kwargs)
-            for _, rows_b in sorted(by_bucket.items())
-        ])
+        metas = ray.get([o[0] for o in outs])
+        merges = [
+            merge_encode_task.remote(b, sorted(srcs), sum(raw), merge_kwargs, *refs)
+            for b, (srcs, raw, refs) in sorted(_partitions(metas, outs).items())
+        ]
+        # The chunks now live on as merge arguments only, so each is
+        # freed as soon as the merges that take it are done.
+        outs = None
+        rows = ray.get(merges)
     finally:
-        # Release every pinned fragment object at once — also when a
-        # phase fails, so a failed run does not leave fragments pinned.
-        _release_holder(holder)
-    try:  # per-stage wall/UDF times for throughput tuning (observability)
-        with open(os.path.join(checkpoint_dir, "stats.txt"), "w") as f:
-            f.write(ds.stats())
-    except Exception:
-        pass
-    phase1_cpu = sum(float(r.get(FRAG_CPU_COL) or 0.0) for r in meta_rows)
+        # Also on failure: a caller that keeps the exception keeps this
+        # frame, which must not pin the chunks.
+        outs = merges = None
+    phase1_cpu = sum(m["cpu_s"] for m in metas)
     merge_cpu = sum(float(r.get("cpu_s") or 0.0) for r in rows)
     return _finish(
         checkpoint_dir, rows, t0, num_buckets,
@@ -260,18 +250,18 @@ def encode_pipeline(
     )
 
 
-def _release_holder(holder) -> None:
-    """Release the fragment objects pinned by the holder actor.
-
-    Graceful (``clear()`` + handle drop → normal actor exit), NOT
-    ``ray.kill``: abruptly killing an actor that owns objects while
-    late fire-and-forget ``add`` replies are still in flight has been
-    observed to corrupt driver task-manager state in this Ray build
-    (fatal ``CompletePendingTask`` check during later datasets)."""
-    try:
-        ray.get(holder.clear.remote(), timeout=30)
-    except Exception:
-        ray.kill(holder)  # last resort: reclaim the pinned memory
+def _partitions(metas: list[dict], outs: list[list]) -> dict:
+    """Map-output tracker: per bucket, the input files and raw bytes of
+    its rows and the chunk refs of the splits that hold them. Buckets
+    with no rows, or completed by a previous run, get no entry."""
+    parts: dict[int, tuple[set, list, list]] = {}
+    for meta, o in zip(metas, outs):
+        for b, (raw, srcs) in meta["buckets"].items():
+            p_srcs, p_raw, p_refs = parts.setdefault(b, (set(), [], []))
+            p_srcs.update(srcs)
+            p_raw.append(raw)
+            p_refs.append(o[1 + b // FRAG_CHUNK_BUCKETS])
+    return parts
 
 
 def _finish(checkpoint_dir: str, rows: list[dict], t0: float,

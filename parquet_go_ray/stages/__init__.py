@@ -1,1 +1,1 @@
-"""Ray Data stages: salting, stateful encoder actors, verification."""
+"""Encode-path stages: salting and the phase-1 / merge tasks."""

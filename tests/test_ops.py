@@ -267,6 +267,36 @@ class TestTopK:
         got = topk(ds, ["w"], k=5, descending=True)
         assert got.column("w").to_pylist() == sorted(words, reverse=True)[:5]
 
+    def test_driver_fold_is_bounded(self, ray_session, monkeypatch):
+        """Over a many-block input the driver folds the partials as they
+        stream in: it never holds more than 8·k rows at once."""
+        import ray
+
+        from parquet_go_ray.ops import topk as topk_mod
+
+        held = []
+        real = topk_mod._top_rows
+
+        def spy(tables, *args):
+            held.append(sum(t.num_rows for t in tables))
+            return real(tables, *args)
+
+        monkeypatch.setattr(topk_mod, "_top_rows", spy)
+        n, k = 6400, 4
+        rng = np.random.default_rng(3)
+        t = pa.table(
+            {
+                "id": pa.array(np.arange(n), pa.int64()),
+                "v": pa.array(rng.integers(0, 50, n), pa.int64()),  # ties
+            }
+        )
+        ds = ray.data.from_arrow(t).repartition(64)
+        got = topk_mod.topk(ds, ["v", "id"], k=k, descending=[True, False])
+        exp = t.to_pandas().sort_values(["v", "id"], ascending=[False, True])
+        assert got.column("id").to_pylist() == exp["id"].head(k).tolist()
+        assert len(held) > 2, held  # many folds, not one driver-wide pull
+        assert max(held) <= 8 * k, held
+
 
 class TestIvfIndex:
     def _clustered(self, n_clusters=16, n_per=200, dim=16, seed=7):

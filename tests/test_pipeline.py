@@ -1,7 +1,10 @@
 """End-to-end Ray Data pipeline tests: encode → decode → verify, resume,
 salting. Ray is initialised once per session (conftest.ray_session)."""
 
+import gc
 import os
+import re
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -229,8 +232,8 @@ def test_retried_merge_returns_written_partition(tmp_path):
     blob, meta = encode_table(t)
     ckpt = str(tmp_path / "ckpt")
     mf.write_partition(ckpt, "000003", blob, meta, raw_bytes=t.nbytes)
-    # No fragment columns: the check must run before any fragment pull.
-    out = MergeEncoderActor(ckpt)([{"_bucket": 3}])
+    # No fragment chunks: the check must run before any fragment read.
+    out = MergeEncoderActor(ckpt)(3, [None], [0], t.nbytes)
     assert out == {"partition_id": "000003", "rows": t.num_rows,
                    "raw_bytes": t.nbytes, "blob_bytes": len(blob),
                    "skipped": True}
@@ -271,25 +274,198 @@ def test_blobs_match_golden_for_path_and_dataset_inputs(
     assert path == dataset == GOLDEN_BLOBS_SHA256
 
 
+def _driver_object_refs() -> dict:
+    """Objects the driver holds a reference to, with their counts. The
+    driver owns every fragment chunk (a phase-1 task output), so a
+    chunk it no longer references is freed."""
+    import ray
+
+    worker = ray._private.worker.global_worker
+    return worker.core_worker.get_all_reference_counts()
+
+
+def _is_chunk(object_id: bytes) -> bool:
+    """An object id is its task's id then its 4-byte little-endian
+    return index: a phase-1 task returns its meta at index 1 and its
+    chunks after it, a merge task only index 1."""
+    return int.from_bytes(bytes.fromhex(object_id.decode())[-4:], "little") > 1
+
+
+def _refs_left(before: dict, chunks_only: bool = False,
+               timeout_s: float = 30.0) -> dict:
+    """The call's objects (or only its chunks) still referenced once its
+    in-flight tasks are done: a failed call returns while its other
+    tasks may still run."""
+    gc.collect()  # a dropped exception's frames may sit in a cycle
+    deadline = time.monotonic() + timeout_s
+    while True:
+        left = {k: v for k, v in _driver_object_refs().items()
+                if k not in before and (_is_chunk(k) or not chunks_only)}
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.1)
+
+
 def test_failed_phase1_releases_pinned_fragments(
-    ray_session, transcripts_parquet, tmp_path, monkeypatch
+    ray_session, transcripts_parquet, tmp_path
 ):
-    """A phase-1 failure must still release the holder that pins the
-    fragments already put in the object store."""
-    from parquet_go_ray.pipelines import encode
+    """No fragment chunk of a call outlives it: after a successful call,
+    after calls whose phase 1 fails and after one whose merge fails —
+    also while the caller keeps the exception, which holds only the
+    failed phase's small task results. A failure names the input file
+    of the split, or the partition and its input files."""
+    from parquet_go_ray.pipelines.encode import encode_pipeline
 
-    calls = []
-    real = encode._release_holder
+    input_dir, table = transcripts_parquet
+    path = os.path.join(input_dir, "transcripts-0000.parquet")
+    before = _driver_object_refs()
+    encode_pipeline(input_dir, str(tmp_path / "ok"), rows_per_partition=2000)
+    assert not _refs_left(before)
 
-    def spy(holder):
-        calls.append(holder)
-        real(holder)
+    with pytest.raises(Exception, match="no_such_col") as err:
+        encode_pipeline(input_dir, str(tmp_path / "p1"), key="no_such_col",
+                        rows_per_partition=2000)
+    assert f"encode phase 1 failed on {path} row groups [" in str(err.value)
+    assert not _refs_left(before, chunks_only=True)
+    del err
+    assert not _refs_left(before)
 
-    monkeypatch.setattr(encode, "_release_holder", spy)
-    input_dir, _ = transcripts_parquet
-    with pytest.raises(Exception, match="no_such_col"):
-        encode.encode_pipeline(
-            input_dir, str(tmp_path / "ckpt"), key="no_such_col",
-            rows_per_partition=2000,
-        )
-    assert len(calls) == 1
+    # One good file, whose splits put chunks, and one without the key.
+    bad = str(tmp_path / "no_conv_id.parquet")
+    pq.write_table(table.drop_columns(["conv_id"]), bad)
+    with pytest.raises(Exception, match="conv_id") as err:
+        encode_pipeline([path, bad], str(tmp_path / "p1b"),
+                        rows_per_partition=2000, read_blocks=4)
+    assert f"encode phase 1 failed on {bad} row groups [" in str(err.value)
+    assert not _refs_left(before, chunks_only=True)
+    del err
+    assert not _refs_left(before)
+
+    with pytest.raises(Exception, match="no_such_codec") as err:
+        encode_pipeline(input_dir, str(tmp_path / "p2"), rows_per_partition=2000,
+                        choices={"text": ("no_such_codec", "zstd")})
+    assert re.search(r"encode merge of partition \d{6} \(inputs \['"
+                     + re.escape(path) + r"'\]\) failed", str(err.value))
+    assert not _refs_left(before, chunks_only=True)
+    del err
+    assert not _refs_left(before)
+
+
+def test_encode_has_no_actor_or_out_of_band_refs():
+    """Guard against re-growth: the encode path is plain tasks. No Ray
+    actor class, no ``ray.put(_owner=...)``, no refs pickled into
+    columns, no Ray Data stage of its own."""
+    import ast
+    import pathlib
+
+    import parquet_go_ray
+
+    root = pathlib.Path(parquet_go_ray.__file__).parent
+    found = []
+    for rel in ("stages/encoder.py", "pipelines/encode.py"):
+        for node in ast.walk(ast.parse((root / rel).read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                "remote" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found.append((rel, "remote class", node.name))
+            elif isinstance(node, ast.keyword) and node.arg == "_owner":
+                found.append((rel, "_owner=", node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "cloudpickle" in name
+                for name in [getattr(node, "module", None) or ""]
+                + [a.name for a in node.names]
+            ):
+                found.append((rel, "cloudpickle import", node.lineno))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("map_batches", "from_items")):
+                found.append((rel, node.func.attr, node.lineno))
+    assert not found, found
+
+
+_FAULT_SCRIPT = """
+import os, sys
+
+import pyarrow.parquet as pq
+import ray
+
+from parquet_go_ray.pipelines.encode import encode_pipeline
+from parquet_go_ray.sources.transcripts import generate_transcripts
+
+work = sys.argv[1]
+
+
+def crash_first_attempts():
+    # Worker set-up hook: the first phase-1 task and the first merge
+    # task to run kill their worker; the marker file makes it once.
+    from parquet_go_ray.stages import encoder
+
+    def crash_once(name, fn):
+        def wrapped(*args, **kwargs):
+            try:
+                os.close(os.open(os.path.join(work, name),
+                                 os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return fn(*args, **kwargs)
+            os._exit(1)
+        return wrapped
+
+    encoder.bucket_fragments = crash_once(
+        "phase1.crashed", encoder.bucket_fragments)
+    encoder.MergeEncoderActor._fragment_tables = crash_once(
+        "merge.crashed", encoder.MergeEncoderActor._fragment_tables)
+
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         log_to_driver=False,
+         runtime_env={"worker_process_setup_hook": crash_first_attempts})
+src = os.path.join(work, "input")
+os.makedirs(src)
+pq.write_table(generate_transcripts(8000, seed=42),
+               os.path.join(src, "transcripts-0000.parquet"),
+               row_group_size=2048)
+for ckpt in ("faulted", "clean"):  # the markers exist by the second run
+    s = encode_pipeline(src, os.path.join(work, ckpt), rows_per_partition=2000)
+    assert s["rows_encoded"] == s["rows_total"] > 0, s
+ray.shutdown()
+"""
+
+
+def test_worker_crashes_are_retried_to_identical_blobs(tmp_path):
+    """A phase-1 task and a merge task whose first attempt kills its
+    worker are retried by Ray; the blobs match the golden hash and the
+    manifest entries match an uninterrupted run's but for wall time."""
+    import hashlib
+    import subprocess
+    import sys
+
+    script = tmp_path / "fault_run.py"
+    script.write_text(_FAULT_SCRIPT)
+    work = tmp_path / "work"
+    work.mkdir()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(work)], cwd=repo,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": repo},
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert (work / "phase1.crashed").exists()
+    assert (work / "merge.crashed").exists()
+
+    def entries(ckpt: str) -> dict:
+        out = {}
+        for pid in mf.completed_partitions(ckpt):
+            e = mf.read_entry(ckpt, pid)
+            e.pop("finished_at")
+            out[pid] = e
+        return out
+
+    faulted, clean = str(work / "faulted"), str(work / "clean")
+    assert entries(faulted) == entries(clean)
+    bdir = os.path.join(faulted, "blobs")
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(bdir) if n.endswith(".blob")):
+        with open(os.path.join(bdir, name), "rb") as f:
+            h.update(hashlib.sha256(f.read()).hexdigest().encode())
+    assert h.hexdigest() == GOLDEN_BLOBS_SHA256
