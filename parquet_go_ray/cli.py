@@ -79,10 +79,12 @@ def main(argv: list[str] | None = None) -> int:
         "decontam -> LM quality -> optional packing) over a corpus",
     )
     pc.add_argument("--input", required=True,
-                    help="parquet file/dir with (doc_id, text)")
+                    help="parquet file/dir with an integer id column "
+                         "(--id-col) and a text column (--text-col)")
     pc.add_argument("--out", required=True)
     pc.add_argument("--text-col", default="text")
-    pc.add_argument("--id-col", default="doc_id")
+    pc.add_argument("--id-col", default="doc_id",
+                    help="integer doc id column (other types are rejected)")
     pc.add_argument("--benchmark", default=None,
                     help="parquet of benchmark docs for n-gram decontam")
     pc.add_argument("--reference", default=None,

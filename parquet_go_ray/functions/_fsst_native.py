@@ -6,7 +6,7 @@ chunk while the sequential algorithm is a single pass (profile in
 NOTES_r3.md). This module compiles a ~100-line C kernel with the system
 compiler at first use (cached under /tmp, keyed by source hash) and
 exposes it via ctypes. Everything degrades silently to the numpy path:
-no compiler, no dlopen, or PGR_FSST_NATIVE=0 → ``scan = unscan = None``.
+no compiler or no dlopen → ``scan = unscan = None``.
 
 The kernel replicates the numpy matcher EXACTLY (same single-probe hash
 table, same lut1/lut2, same greedy left-to-right scan, same escape-run
@@ -121,8 +121,6 @@ int64_t fsst_unscan(const uint8_t* buf, int64_t n,
 
 
 def _compile() -> ctypes.CDLL | None:
-    if os.environ.get("PGR_FSST_NATIVE", "1") == "0":
-        return None
     key = hashlib.sha1(_C_SRC.encode()).hexdigest()[:16]
     try:
         so_path = os.path.join(_native_cache.cache_dir(), f"pgr_fsst_{key}.so")

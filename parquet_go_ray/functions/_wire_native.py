@@ -6,9 +6,9 @@ chunk; ``np.add.reduceat``-style multi-pass vectorization where the
 sequential algorithm is one pass). This module extends the proven
 ``_fsst_native`` pattern: a ~200-line C kernel compiled with the system
 compiler at first use (cached under /tmp, keyed by source hash), exposed
-via ctypes, degrading silently to the numpy paths — no compiler, no
-dlopen, or ``PGR_WIRE_NATIVE=0`` → every hook returns ``None`` and the
-callers keep their numpy implementations.
+via ctypes, degrading silently to the numpy paths — no compiler or no
+dlopen → every hook returns ``None`` and the callers keep their numpy
+implementations.
 
 Every kernel replicates its numpy twin BYTE-IDENTICALLY (same run
 detection, same 504-value bit-packed run cap, same 8-alignment borrow,
@@ -359,8 +359,6 @@ int64_t pgr_delta_decode(const uint8_t* data, int64_t nd_bytes, int64_t pos,
 
 
 def _compile() -> ctypes.CDLL | None:
-    if os.environ.get("PGR_WIRE_NATIVE", "1") == "0":
-        return None
     key = hashlib.sha1(_C_SRC.encode()).hexdigest()[:16]
     try:
         so_path = os.path.join(_native_cache.cache_dir(), f"pgr_wire_{key}.so")

@@ -18,18 +18,15 @@ import pyarrow as pa
 
 __all__ = ["compress", "decompress", "available_codecs", "NONE"]
 
-import os
-
 NONE = "none"
 _NAMES = ("zstd", "snappy", "gzip", "brotli", "lz4")
 # zstd level 3: measured 17% smaller than level 1 on transcript text at
 # still-sequential-read-friendly 150+ MB/s; levels ≥6 gain <1% more.
-# Env-overridable so benchmark children can sweep it (workers re-read it).
 # r4 A/B on the full 32-CPU pipeline: level 2 saves no wall time there
 # (the encode stage isn't the bottleneck at bench sizes) but costs
-# +4.6% blob size (44.98 -> 47.06 B/turn) — keep 3; PGR_ZSTD_LEVEL
-# remains the knob for compute-bound deployments.
-_LEVELS = {"zstd": int(os.environ.get("PGR_ZSTD_LEVEL", "3"))}
+# +4.6% blob size (44.98 -> 47.06 B/turn). A constant, so a blob's bytes
+# depend only on its rows.
+_LEVELS = {"zstd": 3}
 
 
 def available_codecs() -> list[str]:

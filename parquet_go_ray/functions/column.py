@@ -93,6 +93,25 @@ def _physical(typ: pa.DataType) -> str:
     raise TypeError(f"unsupported column type: {typ}")
 
 
+_FAMS_ALL = frozenset({"int32", "int64", "float32", "float64", "bool", "bytes"})
+
+# The built-in codecs: id -> (physical families it is legal for, speed
+# rank). The selector reads legality and its near-tie break (higher =
+# faster single-core encode) from here through the registry. Ranks are
+# constants: whether a native kernel loads changes speed, never which
+# codec a blob holds (fsst ranks with dict on every host).
+_BUILTINS: dict[str, tuple[frozenset, int]] = {
+    "plain": (_FAMS_ALL | {"decimal128"}, 5),
+    "dict": (_FAMS_ALL - {"bool"}, 3),
+    "rle": (frozenset({"bool"}), 4),
+    "delta": (frozenset({"int32", "int64"}), 4),
+    "for": (frozenset({"int32", "int64"}), 4),
+    "delta_length": (frozenset({"bytes"}), 5),
+    "delta_prefix": (frozenset({"bytes"}), 2),
+    "fsst": (frozenset({"bytes"}), 3),
+}
+
+
 _PHYS_NP = {
     "int32": np.int32,
     "int64": np.int64,
@@ -123,7 +142,7 @@ def encode_values(values: pa.Array, codec: str) -> tuple[bytes, dict]:
     """
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
-    if codec not in _BUILTIN_CODECS:
+    if codec not in _BUILTINS:
         from . import registry
 
         return registry.get(codec).encode(values)
@@ -173,14 +192,9 @@ def encode_values(values: pa.Array, codec: str) -> tuple[bytes, dict]:
     raise ValueError(f"codec {codec!r} is not legal for physical type {phys}")
 
 
-_BUILTIN_CODECS = frozenset(
-    {"plain", "dict", "rle", "delta", "for", "delta_length", "delta_prefix", "fsst"}
-)
-
-
 def decode_values(payload, codec: str, typ: pa.DataType, count: int) -> pa.Array:
     """Decode ``count`` null-free values and cast back to the logical type."""
-    if codec not in _BUILTIN_CODECS:
+    if codec not in _BUILTINS:
         from . import registry
 
         return registry.get(codec).decode(payload, typ, count)
@@ -369,18 +383,7 @@ def _register_builtins() -> None:
     the same introspection surface as user codecs (SURVEY.md §2.6)."""
     from . import registry
 
-    fams_all = {"int32", "int64", "float32", "float64", "bool", "bytes"}
-    table = [
-        ("plain", fams_all, 5),
-        ("dict", fams_all - {"bool"}, 3),
-        ("rle", {"bool"}, 4),
-        ("delta", {"int32", "int64"}, 4),
-        ("for", {"int32", "int64"}, 4),
-        ("delta_length", {"bytes"}, 5),
-        ("delta_prefix", {"bytes"}, 2),
-        ("fsst", {"bytes"}, 1),
-    ]
-    for name, fams, rank in table:
+    for name, (fams, rank) in _BUILTINS.items():
         registry.register(
             registry.Codec(
                 name=name,

@@ -48,10 +48,6 @@ def _window_keys(data: np.ndarray) -> np.ndarray:
     return win.view(">u8").ravel().astype(np.uint64)
 
 
-def _keys_for_len(w8: np.ndarray, L: int) -> np.ndarray:
-    return w8 >> np.uint64(8 * (8 - L))
-
-
 def _sym_key(sym: bytes) -> int:
     return int.from_bytes(sym, "big")
 

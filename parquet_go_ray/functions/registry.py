@@ -3,14 +3,18 @@
 Mirrors the reference's extension interfaces (SURVEY.md §2.6):
 ``ValuesEncoder/ValuesDecoder`` (/root/reference/types/types.go:15-27) and
 the per-type encoding legality lists. A codec registers under a string id
-with the physical families it supports; ``encode_values``/``decode_values``
-(functions/column.py) and the auto-selector dispatch through this table,
-so a new codec becomes selectable by registering it — no core edits.
+with the physical families it supports and a speed rank. The built-ins
+register from the one table in functions/column.py, and the auto-selector
+reads their legality and rank here. A user codec becomes usable by name —
+``encode_values``/``decode_values`` dispatch through this table, and an
+``encode_table`` ``choices`` entry can name it — with no core edits. The
+selector itself only trials the built-ins.
 
 A codec object provides:
     encode(values: pa.Array) -> (payload: bytes, meta: dict)
     decode(payload, typ: pa.DataType, count: int) -> pa.Array
-    families: set[str]   # of {'int32','int64','float32','float64','bool','bytes'}
+    families: set[str]   # of {'int32','int64','float32','float64','bool',
+                         #     'bytes','decimal128'}
 """
 
 from __future__ import annotations

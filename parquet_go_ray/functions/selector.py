@@ -23,35 +23,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-SAMPLE_ROWS = 4096
+from . import registry
+from .column import _physical
 
-# Legality matrix (codec ids are engine-wide; see functions/column.py).
-_INT_CODECS = ("plain", "dict", "delta", "for")
-_FLOAT_CODECS = ("plain", "dict")
-_STRING_CODECS = ("plain", "dict", "delta_length", "delta_prefix", "fsst")
-_BOOL_CODECS = ("plain", "rle")
+SAMPLE_ROWS = 4096
 
 
 def legal_codecs(typ: pa.DataType) -> tuple[str, ...]:
-    if pa.types.is_boolean(typ):
-        return _BOOL_CODECS
-    if pa.types.is_floating(typ):
-        return _FLOAT_CODECS
-    if pa.types.is_decimal(typ) or pa.types.is_interval(typ):
-        return ("plain",)
-    if (
-        pa.types.is_integer(typ)
-        or pa.types.is_timestamp(typ)
-        or pa.types.is_date(typ)
-        or pa.types.is_time(typ)
-        or pa.types.is_duration(typ)
-    ):
-        return _INT_CODECS
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ) or pa.types.is_binary(
-        typ
-    ) or pa.types.is_large_binary(typ) or pa.types.is_fixed_size_binary(typ):
-        return _STRING_CODECS
-    return ("plain",)
+    """The codecs registered for ``typ``'s physical family: the built-in
+    table in functions/column.py, plus any user codec."""
+    return tuple(c.name for c in registry.codecs_for_family(_physical(typ)))
 
 
 def column_stats(values: pa.Array, sample_rows: int = SAMPLE_ROWS) -> dict:
@@ -131,36 +112,6 @@ def candidate_codecs(typ: pa.DataType, stats: dict) -> list[str]:
     return out
 
 
-# Rough single-core encode throughput rank (higher = faster) — used only
-# to break near-ties, so a 100x-faster codec wins when sizes are within 5%.
-_SPEED_RANK = {
-    "plain": 5,
-    "delta_length": 5,
-    "for": 4,
-    "delta": 4,
-    "rle": 4,
-    "dict": 3,
-    "delta_prefix": 2,
-    "fsst": 1,  # numpy fallback: ~10 MB/s/core (vectorized matcher ceiling,
-    # profiled in NOTES_r3) — demoted below dict/delta_length. When the
-    # native C kernel is available (67 MB/s encode / 68 MB/s decode
-    # measured on transcript text, byte-identical streams) the rank is
-    # lifted to dict-level at import time below: FSST then competes on
-    # size alone and the r2 "fsst_demoted_for_speed" note no longer fires.
-}
-
-
-def _maybe_undemote_fsst() -> None:
-    try:
-        from ._fsst_native import lib
-
-        if lib() is not None:
-            _SPEED_RANK["fsst"] = 3
-    except Exception:
-        pass
-
-
-_maybe_undemote_fsst()
 # Cap FSST's trial sample so selection stays cheap per partition.
 _FSST_TRIAL_ROWS = 512
 
@@ -176,7 +127,7 @@ def select_codec(
     wins. Deterministic given the partition input.
     """
     from .block import compress
-    from .column import _physical, encode_values
+    from .column import encode_values
 
     typ = values.type
     _physical(typ)  # raise TypeError early for unsupported column types
@@ -204,7 +155,7 @@ def select_codec(
         raise ValueError(f"no usable codec for type {typ}")
     best_size = min(r[0] for r in results)
     near = [r for r in results if r[0] <= best_size * 1.05 + 1e-9]
-    near.sort(key=lambda r: (-_SPEED_RANK.get(r[1], 0), r[0]))
+    near.sort(key=lambda r: (-registry.get(r[1]).speed_rank, r[0]))
     size, codec, compression = near[0]
     stats["sample_bytes_per_row"] = size
     if codec != "fsst" and any(r[1] == "fsst" for r in near):

@@ -18,6 +18,7 @@ arithmetic), not the operators again.
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray
 import ray.data
 
@@ -29,6 +30,24 @@ from ..ops.mixing import pack_sequences
 from ..ops.profile import profile_corpus
 
 __all__ = ["curate_corpus", "curate_shard"]
+
+
+def _check_id_col(ds: ray.data.Dataset, id_col: str) -> None:
+    """Near-dup clustering keys documents by an integer id: reject any
+    other id type from the schema, before a stage runs."""
+    schema = ds.schema()
+    if schema is None:  # no blocks: nothing to check
+        return
+    types = dict(zip(schema.names, schema.types))
+    if id_col not in types:
+        raise ValueError(
+            f"id column {id_col!r} is not in the dataset (columns {schema.names})"
+        )
+    typ = types[id_col]
+    if not (isinstance(typ, pa.DataType) and pa.types.is_integer(typ)):
+        raise ValueError(
+            f"id column {id_col!r} has type {typ}; curation needs integer doc ids"
+        )
 
 
 def curate_corpus(
@@ -59,6 +78,7 @@ def curate_corpus(
        drop docs scoring above the threshold;
     5. sequence packing (``pack_tokens`` given).
     """
+    _check_id_col(docs, id_col)
     report: dict = {}
     if profile:
         report["before"] = profile_corpus(docs, text_col)
@@ -164,6 +184,7 @@ def curate_shard(
     and the probes consume the stream multiple times)."""
     from ..ops.join import shuffle_join
 
+    _check_id_col(shard, id_col)
     report: dict = {"shard_docs": shard.count()}
     cur = shard.materialize()
 

@@ -223,8 +223,8 @@ def encode_pipeline(
     try:
         metas = ray.get([o[0] for o in outs])
         merges = [
-            merge_encode_task.remote(b, sorted(srcs), sum(raw), merge_kwargs, *refs)
-            for b, (srcs, raw, refs) in sorted(_partitions(metas, outs).items())
+            merge_encode_task.remote(b, sorted(srcs), merge_kwargs, *refs)
+            for b, (srcs, refs) in sorted(_partitions(metas, outs).items())
         ]
         # The chunks now live on as merge arguments only, so each is
         # freed as soon as the merges that take it are done.
@@ -251,15 +251,14 @@ def encode_pipeline(
 
 
 def _partitions(metas: list[dict], outs: list[list]) -> dict:
-    """Map-output tracker: per bucket, the input files and raw bytes of
-    its rows and the chunk refs of the splits that hold them. Buckets
-    with no rows, or completed by a previous run, get no entry."""
-    parts: dict[int, tuple[set, list, list]] = {}
+    """Map-output tracker: per bucket, the input files of its rows and
+    the chunk refs of the splits that hold them. Buckets with no rows,
+    or completed by a previous run, get no entry."""
+    parts: dict[int, tuple[set, list]] = {}
     for meta, o in zip(metas, outs):
-        for b, (raw, srcs) in meta["buckets"].items():
-            p_srcs, p_raw, p_refs = parts.setdefault(b, (set(), [], []))
+        for b, srcs in meta["buckets"].items():
+            p_srcs, p_refs = parts.setdefault(b, (set(), []))
             p_srcs.update(srcs)
-            p_raw.append(raw)
             p_refs.append(o[1 + b // FRAG_CHUNK_BUCKETS])
     return parts
 

@@ -884,13 +884,6 @@ def _cast_to_logical(arr: pa.Array, typ: pa.DataType) -> pa.Array:
         return arr  # non-integer representation gap: keep physical
 
 
-def read_column_chunk(path: str, row_group: int, column: int) -> pa.Array:
-    """Read one column chunk of a real Parquet file through the engine's
-    page/wire decoders. Returns the physical-typed array (logical-type
-    casts are the caller's concern)."""
-    return _read_chunk(_parquet_file(path), path, row_group, column)[0]
-
-
 def _assemble_struct(pf: pq.ParquetFile, path: str, row_group: int,
                      indices: list[int], field: pa.Field,
                      entry_range: tuple[int, int] | None = None) -> pa.Array:

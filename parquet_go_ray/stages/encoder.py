@@ -35,7 +35,6 @@ from . import salt
 from .salt import BUCKET_COL, SRC_COL
 
 FRAG_COL = "_frag"
-FRAG_RAW_COL = "_frag_raw"
 FRAG_SRCS_COL = "_frag_srcs"
 
 
@@ -65,7 +64,7 @@ def encode_fragments(batch: pa.Table) -> pa.Table:
     change = np.flatnonzero(b[1:] != b[:-1]) + 1
     starts = np.concatenate(([0], change)) if len(b) else change
     ends = np.append(starts[1:], len(b))
-    out_bucket, out_frag, out_raw, out_srcs = [], [], [], []
+    out_bucket, out_frag, out_srcs = [], [], []
     has_src = SRC_COL in batch.column_names
     for s, e in zip(starts, ends):
         seg = batch.slice(int(s), int(e - s))
@@ -76,13 +75,11 @@ def encode_fragments(batch: pa.Table) -> pa.Table:
         tbl = seg.drop_columns(drop)
         out_bucket.append(int(b[s]))
         out_frag.append(_ipc_zstd_bytes(tbl))
-        out_raw.append(tbl.nbytes)
         out_srcs.append(sorted(int(x) for x in srcs))
     return pa.table(
         {
             BUCKET_COL: pa.array(out_bucket, pa.int64()),
             FRAG_COL: pa.array(out_frag, pa.large_binary()),
-            FRAG_RAW_COL: pa.array(out_raw, pa.int64()),
             FRAG_SRCS_COL: pa.array(out_srcs, pa.list_(pa.int32())),
         }
     )
@@ -109,10 +106,10 @@ def encode_fragments_refs(batch: pa.Table, num_buckets: int,
     ``(uint8 buf, int64 offs)`` pair — bucket b's fragment is
     ``buf[offs[b % K]:offs[b % K + 1]]``, empty where the batch has no
     rows of b — or is None when the batch has none of those buckets.
-    ``meta["buckets"]`` maps each bucket present to its ``(raw_bytes,
-    srcs)``. ``meta["cpu_s"]`` is the phase-1 CPU time (process_time:
-    user+sys of every thread in the worker, incl. Arrow's IPC/zstd pool)
-    since ``_t0``, a scaling signal immune to wall-clock noise."""
+    ``meta["buckets"]`` maps each bucket present to its ``srcs``.
+    ``meta["cpu_s"]`` is the phase-1 CPU time (process_time: user+sys of
+    every thread in the worker, incl. Arrow's IPC/zstd pool) since
+    ``_t0``, a scaling signal immune to wall-clock noise."""
     t0 = time.process_time() if _t0 is None else _t0
     out = encode_fragments(batch)
     buckets = out.column(BUCKET_COL).to_pylist()
@@ -140,10 +137,7 @@ def encode_fragments_refs(batch: pa.Table, num_buckets: int,
             chunks[j] = (values[voffs[start] : voffs[end]], np.cumsum(sizes))
             start = end
     meta = {
-        "buckets": dict(zip(buckets, zip(
-            out.column(FRAG_RAW_COL).to_pylist(),
-            out.column(FRAG_SRCS_COL).to_pylist(),
-        ))),
+        "buckets": dict(zip(buckets, out.column(FRAG_SRCS_COL).to_pylist())),
         "cpu_s": time.process_time() - t0,  # incl. the packing above
     }
     return meta, chunks
@@ -272,8 +266,7 @@ class MergeEncoderActor:
             out.append(_ipc_read_bytes(pa.py_buffer(frag)))
         return out
 
-    def __call__(self, bucket: int, chunks: list, srcs: list[int],
-                 raw_bytes: int) -> dict:
+    def __call__(self, bucket: int, chunks: list, srcs: list[int]) -> dict:
         pid = f"{bucket:06d}"
         if os.path.exists(mf.entry_path(self.checkpoint_dir, pid)):
             # A retried task whose first attempt already wrote the blob.
@@ -282,6 +275,10 @@ class MergeEncoderActor:
                             entry["blob_bytes"], skipped=True)
         tables = self._fragment_tables(bucket, chunks)
         merged = pa.concat_tables(tables).combine_chunks()
+        # The partition's Arrow size, measured on its merged rows: the
+        # same however phase 1 split them (a sliced fragment's nbytes
+        # depends on its validity-bitmap offset).
+        raw_bytes = merged.nbytes
         keys = [k for k in self.sort_keys if k in merged.column_names]
         if keys:
             idx = pc.sort_indices(
@@ -306,8 +303,8 @@ def _summary(pid, rows, raw_bytes, blob_bytes, skipped) -> dict:
 
 
 @_ray.remote(num_cpus=1)
-def merge_encode_task(bucket: int, srcs: list[int], raw_bytes: int,
-                      merge_kwargs: dict, *chunks) -> dict:
+def merge_encode_task(bucket: int, srcs: list[int], merge_kwargs: dict,
+                      *chunks) -> dict:
     """Phase 2: one plain Ray task per partition.
 
     The exchange is the map-task/reduce-task shuffle of Exoshuffle
@@ -322,7 +319,7 @@ def merge_encode_task(bucket: int, srcs: list[int], raw_bytes: int,
     t0 = time.process_time()
     enc = MergeEncoderActor(**merge_kwargs)
     try:
-        out = enc(bucket, list(chunks), srcs, raw_bytes)
+        out = enc(bucket, list(chunks), srcs)
     except Exception as e:
         raise RuntimeError(
             f"encode merge of partition {bucket:06d} "

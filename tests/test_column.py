@@ -114,3 +114,98 @@ class TestSelector:
         stats = column_stats(pa.array([1.0, 2.0] * 100))
         cands = candidate_codecs(pa.float64(), stats)
         assert set(cands) <= {"plain", "dict"}
+
+    @pytest.mark.parametrize(
+        "typ,legal",
+        [
+            (pa.bool_(), {"plain", "rle"}),
+            (pa.int32(), {"plain", "dict", "delta", "for"}),
+            (pa.int64(), {"plain", "dict", "delta", "for"}),
+            (pa.float64(), {"plain", "dict"}),
+            (pa.string(),
+             {"plain", "dict", "delta_length", "delta_prefix", "fsst"}),
+            (pa.binary(16),
+             {"plain", "dict", "delta_length", "delta_prefix", "fsst"}),
+            (pa.decimal128(10, 2), {"plain"}),
+            (pa.month_day_nano_interval(), {"plain"}),
+        ],
+    )
+    def test_legal_codecs_pinned(self, typ, legal):
+        """Guard against drift: the registry's built-in table is the one
+        legality source, and each physical family keeps its set."""
+        from parquet_go_ray.functions.selector import legal_codecs
+
+        assert set(legal_codecs(typ)) == legal
+
+    def test_choice_does_not_depend_on_native_kernels(self):
+        """The (codec, compression) choice and the blob bytes are the same
+        whether or not the native kernels load: a sorted, path-like column
+        whose fsst and delta_prefix trials land within the 5% near-tie
+        band, encoded here and in a child process that has both kernels
+        switched off before the selector is imported."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        script = """
+import hashlib, json, sys
+
+import numpy as np
+import pyarrow as pa
+
+from parquet_go_ray.functions import _fsst_native, _wire_native
+
+if sys.argv[1] == "off":
+    _fsst_native._LIB, _fsst_native._TRIED = None, True
+    _wire_native._LIB, _wire_native._TRIED = None, True
+
+from parquet_go_ray.functions.selector import select_codec
+from parquet_go_ray.state.blob import encode_table
+
+rng = np.random.default_rng(5)
+vocab = ["".join(rng.choice(list("abcdefgh"), 9)) for _ in range(13)]
+col = pa.array(sorted({"/".join(rng.choice(vocab, 7)) for _ in range(5000)}))
+codec, compression, _ = select_codec(col)
+blob, _ = encode_table(pa.table({"path": col}))
+print(json.dumps([codec, compression, hashlib.sha256(blob).hexdigest(),
+                  _fsst_native.lib() is not None]))
+"""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def run(mode: str) -> list:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode], cwd=repo,
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": repo},
+            )
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+
+        native, numpy_only = run("on"), run("off")
+        assert numpy_only[3] is False
+        assert native[:3] == numpy_only[:3]
+
+
+def test_library_reads_no_environment():
+    """Guard against re-growth: no module of the package reads
+    ``os.environ`` or ``os.getenv``, so a blob's bytes depend only on
+    its rows and never on the process that wrote it."""
+    import ast
+    import pathlib
+
+    import parquet_go_ray
+
+    root = pathlib.Path(parquet_go_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "environ", "getenv"
+            ):
+                found.append((str(path.relative_to(root)), node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                a.name in ("environ", "getenv") for a in node.names
+            ):
+                found.append((str(path.relative_to(root)), node.lineno))
+    assert not found, found

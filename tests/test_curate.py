@@ -154,3 +154,23 @@ class TestCurateShard:
         again = curate_shard(shard, exact_store=es, near_store=ns,
                              near_dup_threshold=0.7, append=False)
         assert again["dataset"].count() == 0
+
+
+class TestIdColumnCheck:
+    def test_non_integer_ids_rejected_before_any_stage(self, ray_session):
+        """A string (or missing) id column fails up front with a message
+        naming the column and its type, in both entry points."""
+        import pytest
+        import ray
+
+        from parquet_go_ray.pipelines.curate import curate_corpus, curate_shard
+
+        docs = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([f"d{i}" for i in range(6)]),
+            "text": pa.array([f"some text number {i}" for i in range(6)]),
+        }))
+        for run in (curate_corpus, curate_shard):
+            with pytest.raises(ValueError, match="'doc_id' has type string"):
+                run(docs)
+            with pytest.raises(ValueError, match="'uid' is not in the dataset"):
+                run(docs, id_col="uid")

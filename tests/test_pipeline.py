@@ -233,7 +233,7 @@ def test_retried_merge_returns_written_partition(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     mf.write_partition(ckpt, "000003", blob, meta, raw_bytes=t.nbytes)
     # No fragment chunks: the check must run before any fragment read.
-    out = MergeEncoderActor(ckpt)(3, [None], [0], t.nbytes)
+    out = MergeEncoderActor(ckpt)(3, [None], [0])
     assert out == {"partition_id": "000003", "rows": t.num_rows,
                    "raw_bytes": t.nbytes, "blob_bytes": len(blob),
                    "skipped": True}
@@ -244,6 +244,28 @@ def test_retried_merge_returns_written_partition(tmp_path):
 GOLDEN_BLOBS_SHA256 = "8ec3fc73bfb0bb1346423827d9ac0837e1f03827fa4e525b249db9aadf18ea93"
 
 
+def _blobs_digest(ckpt: str) -> str:
+    """The GOLDEN_BLOBS_SHA256 digest of a checkpoint's blobs."""
+    import hashlib
+
+    bdir = os.path.join(ckpt, "blobs")
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(bdir) if n.endswith(".blob")):
+        with open(os.path.join(bdir, name), "rb") as f:
+            h.update(hashlib.sha256(f.read()).hexdigest().encode())
+    return h.hexdigest()
+
+
+def _entries_but_wall_time(ckpt: str) -> dict:
+    """A checkpoint's manifest entries without their ``finished_at``."""
+    out = {}
+    for pid in mf.completed_partitions(ckpt):
+        e = mf.read_entry(ckpt, pid)
+        e.pop("finished_at")
+        out[pid] = e
+    return out
+
+
 def test_blobs_match_golden_for_path_and_dataset_inputs(
     ray_session, transcripts_parquet, tmp_path
 ):
@@ -252,8 +274,6 @@ def test_blobs_match_golden_for_path_and_dataset_inputs(
     a golden hash: the route must never leak into the stored format.
     (Holds when the sort keys are unique per row, as in transcripts;
     pc.sort_indices is stable, so fragment arrival order cancels out.)"""
-    import hashlib
-
     import ray
 
     from parquet_go_ray.pipelines.encode import encode_pipeline
@@ -262,12 +282,7 @@ def test_blobs_match_golden_for_path_and_dataset_inputs(
 
     def blobs_digest(source, ckpt: str) -> str:
         encode_pipeline(source, ckpt, rows_per_partition=2000)
-        bdir = os.path.join(ckpt, "blobs")
-        h = hashlib.sha256()
-        for name in sorted(n for n in os.listdir(bdir) if n.endswith(".blob")):
-            with open(os.path.join(bdir, name), "rb") as f:
-                h.update(hashlib.sha256(f.read()).hexdigest().encode())
-        return h.hexdigest()
+        return _blobs_digest(ckpt)
 
     path = blobs_digest(input_dir, str(tmp_path / "c_path"))
     dataset = blobs_digest(ray.data.read_parquet(input_dir), str(tmp_path / "c_ds"))
@@ -435,7 +450,6 @@ def test_worker_crashes_are_retried_to_identical_blobs(tmp_path):
     """A phase-1 task and a merge task whose first attempt kills its
     worker are retried by Ray; the blobs match the golden hash and the
     manifest entries match an uninterrupted run's but for wall time."""
-    import hashlib
     import subprocess
     import sys
 
@@ -453,19 +467,91 @@ def test_worker_crashes_are_retried_to_identical_blobs(tmp_path):
     assert (work / "phase1.crashed").exists()
     assert (work / "merge.crashed").exists()
 
-    def entries(ckpt: str) -> dict:
-        out = {}
-        for pid in mf.completed_partitions(ckpt):
-            e = mf.read_entry(ckpt, pid)
-            e.pop("finished_at")
-            out[pid] = e
-        return out
+    faulted, clean = str(work / "faulted"), str(work / "clean")
+    assert _entries_but_wall_time(faulted) == _entries_but_wall_time(clean)
+    assert _blobs_digest(faulted) == GOLDEN_BLOBS_SHA256
+
+
+_RESUME_SCRIPT = """
+import os, sys
+
+import pyarrow.parquet as pq
+import ray
+
+from parquet_go_ray.pipelines.encode import encode_pipeline
+from parquet_go_ray.sources.transcripts import generate_transcripts
+from parquet_go_ray.state import manifest as mf
+
+work = sys.argv[1]
+flag = os.path.join(work, "crash.on")
+PID = "000001"
+
+
+def crash_between_renames():
+    # Worker set-up hook: while the flag file exists, the merge of
+    # partition PID dies after its blob is renamed into place and
+    # before its manifest entry is, on every attempt.
+    from parquet_go_ray.state import manifest
+
+    atomic_write = manifest._atomic_write
+
+    def crashing_write(path, data):
+        if (os.path.basename(path) == f"part-{PID}.json"
+                and os.path.exists(flag)):
+            os._exit(1)
+        atomic_write(path, data)
+
+    manifest._atomic_write = crashing_write
+
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         log_to_driver=False,
+         runtime_env={"worker_process_setup_hook": crash_between_renames})
+src = os.path.join(work, "input")
+os.makedirs(src)
+table = generate_transcripts(8000, seed=42)
+pq.write_table(table, os.path.join(src, "transcripts-0000.parquet"),
+               row_group_size=2048)
+faulted = os.path.join(work, "faulted")
+open(flag, "w").close()
+try:
+    encode_pipeline(src, faulted, rows_per_partition=2000)
+except Exception:
+    pass
+else:
+    sys.exit("the faulted run did not fail")
+assert os.path.exists(mf.blob_path(faulted, PID)), "blob not renamed"
+assert PID not in mf.completed_partitions(faulted), "entry written"
+os.remove(flag)
+s = encode_pipeline(src, faulted, rows_per_partition=2000)  # resume
+assert 0 < s["rows_encoded"] < table.num_rows, s
+s = encode_pipeline(src, os.path.join(work, "clean"), rows_per_partition=2000)
+assert s["rows_encoded"] == table.num_rows, s
+ray.shutdown()
+"""
+
+
+def test_crash_between_blob_and_manifest_resumes_to_identical_blobs(tmp_path):
+    """A merge that dies after renaming its blob and before renaming its
+    manifest entry leaves a partition that does not count as done; a
+    resume re-encodes it, and the checkpoint ends with the manifest
+    entries of an uninterrupted run (but for wall time) and the golden
+    blobs."""
+    import subprocess
+    import sys
+
+    script = tmp_path / "resume_run.py"
+    script.write_text(_RESUME_SCRIPT)
+    work = tmp_path / "work"
+    work.mkdir()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(work)], cwd=repo,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": repo},
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
     faulted, clean = str(work / "faulted"), str(work / "clean")
-    assert entries(faulted) == entries(clean)
-    bdir = os.path.join(faulted, "blobs")
-    h = hashlib.sha256()
-    for name in sorted(n for n in os.listdir(bdir) if n.endswith(".blob")):
-        with open(os.path.join(bdir, name), "rb") as f:
-            h.update(hashlib.sha256(f.read()).hexdigest().encode())
-    assert h.hexdigest() == GOLDEN_BLOBS_SHA256
+    assert _entries_but_wall_time(faulted) == _entries_but_wall_time(clean)
+    assert _blobs_digest(faulted) == GOLDEN_BLOBS_SHA256
